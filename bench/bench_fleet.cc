@@ -67,9 +67,18 @@ std::string ProgramText(int i) {
                 "?- top", i, "(X).\n");
 }
 
+/// The corpus directory, removed when the process exits.
+struct Corpus {
+  std::string dir;
+  ~Corpus() {
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
+};
+
 /// One corpus per process, generated once.
 const std::string& CorpusDir() {
-  static const std::string dir = [] {
+  static const Corpus corpus = [] {
     fs::path d = fs::temp_directory_path() /
                  StrCat("hornsafe_bench_fleet_corpus_", ::getpid());
     fs::remove_all(d);
@@ -78,9 +87,9 @@ const std::string& CorpusDir() {
       std::ofstream(d / StrCat("prog_", i / 10, i % 10, ".hs"))
           << ProgramText(i);
     }
-    return d.string();
+    return Corpus{d.string()};
   }();
-  return dir;
+  return corpus.dir;
 }
 
 struct FleetRun {

@@ -302,8 +302,12 @@ inline std::string RandomFamilyText(uint64_t seed, int rules,
 /// The incremental-analysis edit workload: `modules` independent copies
 /// of the SharedDiamond family (predicate names suffixed "_m<j>"), each
 /// exporting every ring predicate as a query point (the serve model:
-/// one `check` re-verifies all published queries after each edit),
-/// every module *safe*. `edit >= 0` structurally edits module
+/// one `check` re-verifies all published queries after each edit).
+/// In every module the ring queries b_i are safe (the ring is grounded
+/// by the finite c) and the diamond queries d_i unsafe (Y is a free
+/// column of the infinite t2, and f: 2 -> 1 passes it to X); an edit
+/// only adds a finite guard, so it changes no verdict. `edit >= 0`
+/// structurally edits module
 /// `edit % modules` by appending a fresh guard literal (whose name
 /// varies with `edit`) to that module's grounding rule, so exactly that
 /// module's ring cones change fingerprint; every other module is

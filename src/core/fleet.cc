@@ -113,7 +113,8 @@ Json FleetReport::ToJson() const {
   cache.Set("disk_corrupt", disk_corrupt);
   cache.Set("disk_write_skips", disk_write_skips);
   cache.Set("disk_read_failures", disk_read_failures);
-  cache.Set("stale_leases_recovered", stale_leases_recovered);
+  cache.Set("disk_stores", disk_stores);
+  cache.Set("torn_tails_repaired", torn_tails_repaired);
   cache.Set("manifest_rollbacks", manifest_rollbacks);
   j.Set("cache", std::move(cache));
   Json faults = Json::Object();
@@ -232,8 +233,9 @@ bool HarvestWorkerOutput(const std::string& out_file, int worker_index,
       summary->cache.disk_write_skips += SumField(cache, "disk_write_skips");
       summary->cache.disk_read_failures +=
           SumField(cache, "disk_read_failures");
-      summary->cache.stale_leases_recovered +=
-          SumField(cache, "stale_leases_recovered");
+      summary->cache.lease_acquisitions += SumField(cache, "disk_stores");
+      summary->cache.torn_tails_repaired +=
+          SumField(cache, "torn_tails_repaired");
       summary->cache.manifest_rollbacks +=
           SumField(cache, "manifest_rollbacks");
       summary->faults_injected += SumField(j["faults"], "injected");
@@ -409,7 +411,8 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
     report.disk_corrupt += s.cache.disk_corrupt;
     report.disk_write_skips += s.cache.disk_write_skips;
     report.disk_read_failures += s.cache.disk_read_failures;
-    report.stale_leases_recovered += s.cache.stale_leases_recovered;
+    report.disk_stores += s.cache.lease_acquisitions;
+    report.torn_tails_repaired += s.cache.torn_tails_repaired;
     report.manifest_rollbacks += s.cache.manifest_rollbacks;
     report.faults_injected += s.faults_injected;
   }
@@ -524,7 +527,9 @@ int FleetWorkerMain(const std::string& shard_file,
   cache_json.Set("disk_corrupt", stats.disk_corrupt);
   cache_json.Set("disk_write_skips", stats.disk_write_skips);
   cache_json.Set("disk_read_failures", stats.disk_read_failures);
-  cache_json.Set("stale_leases_recovered", stats.stale_leases_recovered);
+  // One shard lock is taken per disk store.
+  cache_json.Set("disk_stores", stats.lease_acquisitions);
+  cache_json.Set("torn_tails_repaired", stats.torn_tails_repaired);
   cache_json.Set("manifest_rollbacks", stats.manifest_rollbacks);
   summary.Set("cache", std::move(cache_json));
   FaultInjector::Counters fc = FaultInjector::Global().counters();

@@ -21,8 +21,8 @@ namespace hornsafe {
 /// content-addressed), so the corpus warms the cache superlinearly in
 /// corpus overlap. Workers that crash (or are crash-injected via
 /// HORNSAFE_FAULTS process_kill) are respawned on their unfinished
-/// remainder; the shared cache's lease/recovery protocol (DESIGN.md,
-/// D16) guarantees the crash cannot corrupt other workers' verdicts.
+/// remainder; the shared cache's append-only shard logs (DESIGN.md,
+/// D16) guarantee the crash cannot corrupt other workers' verdicts.
 struct FleetOptions {
   /// Directory tree scanned recursively for "*.hs" programs.
   std::string corpus_dir;
@@ -87,7 +87,9 @@ struct FleetReport {
   uint64_t disk_corrupt = 0;
   uint64_t disk_write_skips = 0;
   uint64_t disk_read_failures = 0;
-  uint64_t stale_leases_recovered = 0;
+  /// Records appended to the shared disk tier (one per store attempt).
+  uint64_t disk_stores = 0;
+  uint64_t torn_tails_repaired = 0;
   uint64_t manifest_rollbacks = 0;
   double verdict_hit_rate = 0;  ///< hits / (hits + misses), 0 when cold-empty
 

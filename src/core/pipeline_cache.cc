@@ -1,6 +1,7 @@
 #include "core/pipeline_cache.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +10,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <thread>
+#include <tuple>
+#include <unordered_set>
 
 #include "lang/struct_hash.h"
 #include "util/fault.h"
@@ -19,34 +23,13 @@
 namespace hornsafe {
 namespace {
 
-constexpr char kDiskMagic[4] = {'H', 'S', 'V', 'C'};
+constexpr char kRecordMagic[4] = {'H', 'S', 'L', 'R'};
+/// Framing around a record body: magic, body length, checksum.
+constexpr size_t kRecordOverhead = 4 + 4 + 8;
+/// Bodies are a few hundred bytes; a larger length field is damage.
+constexpr uint32_t kMaxBodyLength = 1u << 20;
 constexpr char kManifestName[] = "MANIFEST";
-/// Manifest temp files deliberately avoid the ".tmp." marker so the
-/// entry-tmp sweep never races a manifest publish; they get their own
-/// "MANIFEST.new." sweep rule.
 constexpr char kManifestTmpPrefix[] = "MANIFEST.new.";
-
-/// Seconds since `p` was last written (0 on stat failure — a file we
-/// cannot stat is treated as brand new and left alone).
-int64_t FileAgeSeconds(const std::filesystem::path& p) {
-  std::error_code ec;
-  auto mtime = std::filesystem::last_write_time(p, ec);
-  if (ec) return 0;
-  auto now = std::filesystem::file_time_type::clock::now();
-  return std::chrono::duration_cast<std::chrono::seconds>(now - mtime)
-      .count();
-}
-
-bool IsTmpFileName(const std::string& name) {
-  return name.find(".tmp.") != std::string::npos ||
-         name.rfind(kManifestTmpPrefix, 0) == 0;
-}
-
-bool IsEntryFileName(const std::string& name) {
-  return name.size() > 4 &&
-         name.compare(name.size() - 4, 4, ".hsv") == 0 &&
-         !IsTmpFileName(name);
-}
 
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -56,7 +39,7 @@ void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
+bool ReadU32(std::string_view in, size_t* pos, uint32_t* v) {
   if (*pos + 4 > in.size()) return false;
   *v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -67,7 +50,7 @@ bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
   return true;
 }
 
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
+bool ReadU64(std::string_view in, size_t* pos, uint64_t* v) {
   if (*pos + 8 > in.size()) return false;
   *v = 0;
   for (int i = 0; i < 8; ++i) {
@@ -89,6 +72,212 @@ uint64_t Checksum(std::string_view bytes) {
   return h;
 }
 
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
+/// One decoded log record.
+struct LogRecord {
+  CacheKey key;
+  int64_t stored_ns = 0;
+  CachedVerdict verdict;
+  /// Whole record, framing included.
+  uint32_t length = 0;
+};
+
+/// Record layout: "HSLR" | u32 body length | body | u64 FNV over the
+/// length and body. Body: u32 format version | u64 key.hi | u64 key.lo
+/// | i64 store time (ns since the epoch) | u32 verdict | u64 steps,
+/// graphs, memo hits, memo misses, SCC short-circuits | u32 explanation
+/// length | explanation bytes. Little-endian throughout.
+std::string EncodeRecord(const CacheKey& key, int64_t stored_ns,
+                         const CachedVerdict& v) {
+  std::string out(kRecordMagic, sizeof(kRecordMagic));
+  AppendU32(&out, 0);  // body length, patched below
+  AppendU32(&out, PipelineCache::kDiskFormatVersion);
+  AppendU64(&out, key.hi);
+  AppendU64(&out, key.lo);
+  AppendU64(&out, static_cast<uint64_t>(stored_ns));
+  AppendU32(&out, static_cast<uint32_t>(v.verdict));
+  AppendU64(&out, v.steps);
+  AppendU64(&out, v.graphs_checked);
+  AppendU64(&out, v.memo_hits);
+  AppendU64(&out, v.memo_misses);
+  AppendU64(&out, v.scc_short_circuits);
+  AppendU32(&out, static_cast<uint32_t>(v.explanation.size()));
+  out += v.explanation;
+  std::string length;
+  AppendU32(&length, static_cast<uint32_t>(out.size() - 8));
+  out.replace(4, 4, length);
+  AppendU64(&out, Checksum(std::string_view(out).substr(4)));
+  return out;
+}
+
+enum class Parse {
+  kOk,
+  /// The framing holds (magic, and a length that fits the buffer) but
+  /// the checksum or the body does not check out.
+  kCorrupt,
+  /// No record starts here: bad magic, or a length that runs past the
+  /// buffer (a torn append, or one still being written).
+  kUnframed,
+};
+
+Parse ParseRecord(std::string_view buf, size_t pos, LogRecord* rec) {
+  if (buf.size() - pos < kRecordOverhead ||
+      std::memcmp(buf.data() + pos, kRecordMagic, sizeof(kRecordMagic)) !=
+          0) {
+    return Parse::kUnframed;
+  }
+  size_t p = pos + sizeof(kRecordMagic);
+  uint32_t body_len = 0;
+  ReadU32(buf, &p, &body_len);
+  if (body_len > kMaxBodyLength ||
+      body_len > buf.size() - pos - kRecordOverhead) {
+    return Parse::kUnframed;
+  }
+  rec->length = static_cast<uint32_t>(body_len + kRecordOverhead);
+  size_t sum_at = p + body_len;
+  uint64_t sum = 0;
+  ReadU64(buf, &sum_at, &sum);
+  if (sum != Checksum(buf.substr(pos + 4, 4 + body_len))) {
+    return Parse::kCorrupt;
+  }
+  std::string_view body = buf.substr(0, p + body_len);
+  uint32_t version = 0, verdict_raw = 0, explanation_len = 0;
+  uint64_t stored = 0;
+  CachedVerdict& v = rec->verdict;
+  if (!ReadU32(body, &p, &version) ||
+      version != PipelineCache::kDiskFormatVersion ||
+      !ReadU64(body, &p, &rec->key.hi) || !ReadU64(body, &p, &rec->key.lo) ||
+      !ReadU64(body, &p, &stored) || !ReadU32(body, &p, &verdict_raw) ||
+      verdict_raw > 2 || !ReadU64(body, &p, &v.steps) ||
+      !ReadU64(body, &p, &v.graphs_checked) ||
+      !ReadU64(body, &p, &v.memo_hits) ||
+      !ReadU64(body, &p, &v.memo_misses) ||
+      !ReadU64(body, &p, &v.scc_short_circuits) ||
+      !ReadU32(body, &p, &explanation_len) ||
+      p + explanation_len != body.size()) {
+    return Parse::kCorrupt;
+  }
+  rec->stored_ns = static_cast<int64_t>(stored);
+  v.verdict = static_cast<Safety>(verdict_raw);
+  v.explanation.assign(body.substr(p, explanation_len));
+  return Parse::kOk;
+}
+
+/// Offset of the first valid record at or after `from`, or npos.
+size_t NextRecord(std::string_view buf, size_t from) {
+  std::string_view magic(kRecordMagic, sizeof(kRecordMagic));
+  LogRecord rec;
+  for (size_t q = buf.find(magic, from); q != std::string_view::npos;
+       q = buf.find(magic, q + 1)) {
+    if (ParseRecord(buf, q, &rec) == Parse::kOk) return q;
+  }
+  return std::string_view::npos;
+}
+
+struct ScanResult {
+  /// Bytes consumed; anything past this is the tail — a torn append or
+  /// one still in flight.
+  size_t end = 0;
+  /// Damaged records (or unframed stretches) skipped.
+  uint64_t corrupt = 0;
+};
+
+/// Parses log bytes `buf` that start at file offset `base`, calling
+/// `on_record(record, offset)` for every valid record in order. Damage
+/// costs only the bytes it covers: the scan resumes at the next valid
+/// record. Bytes after the last valid record are the tail, except a
+/// complete-but-corrupt final record, which is skipped as damage.
+template <typename Fn>
+ScanResult ScanLog(std::string_view buf, uint64_t base, Fn on_record) {
+  ScanResult res;
+  LogRecord rec;
+  size_t pos = 0;
+  while (pos < buf.size()) {
+    Parse parsed = ParseRecord(buf, pos, &rec);
+    if (parsed == Parse::kOk) {
+      on_record(rec, base + pos);
+      pos += rec.length;
+      res.end = pos;
+      continue;
+    }
+    // Resynchronize past the damage: a flipped length byte must not
+    // swallow the records behind it, so search rather than trust it.
+    bool framed = parsed == Parse::kCorrupt;
+    size_t framed_end = framed ? pos + rec.length : 0;
+    size_t next = NextRecord(buf, pos + 1);
+    if (next != std::string_view::npos) {
+      ++res.corrupt;
+      pos = res.end = next;
+      continue;
+    }
+    if (framed && framed_end == buf.size()) {
+      ++res.corrupt;
+      res.end = framed_end;
+    }
+    break;
+  }
+  return res;
+}
+
+/// Reads `len` bytes at `offset`, retrying EINTR; short at end of file.
+bool ReadAt(int fd, uint64_t offset, size_t len, std::string* out) {
+  out->resize(len);
+  size_t got = 0;
+  while (got < len) {
+    ssize_t n = ::pread(fd, out->data() + got, len - got,
+                        static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
+  }
+  out->resize(got);
+  return true;
+}
+
+bool ReadWholeFile(const std::string& path, std::string* out) {
+  out->clear();
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return errno == ENOENT;
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0 &&
+            ReadAt(fd, 0, static_cast<size_t>(st.st_size), out);
+  ::close(fd);
+  return ok;
+}
+
+bool WriteAll(int fd, std::string_view data) {
+  size_t off = 0;
+  while (off < data.size()) {
+    ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool IsFullDisk(int err) { return err == ENOSPC || err == EDQUOT; }
+
+std::string ShardFile(const std::string& dir, size_t shard,
+                      const char* suffix) {
+  static const char kHex[] = "0123456789abcdef";
+  return StrCat(dir, "/shard-", std::string(1, kHex[shard]), suffix);
+}
+
+size_t DiskShardOf(const CacheKey& key) {
+  return static_cast<size_t>(key.lo & (PipelineCache::kDiskShards - 1));
+}
+
 }  // namespace
 
 std::string CacheKey::ToHex() const {
@@ -107,131 +296,31 @@ PipelineCache::PipelineCache(Options options)
       options_.max_entries >= kVerdictShards * 64 ? kVerdictShards : 1;
   shard_capacity_ =
       (options_.max_entries + shard_count_ - 1) / shard_count_;
-  if (options_.tmp_grace_seconds < 0) options_.tmp_grace_seconds = 0;
-  if (!options_.dir.empty()) OpenDiskTier();
-}
-
-std::string PipelineCache::ShardDirOf(const std::string& dir,
-                                      const CacheKey& key) {
-  static const char kHex[] = "0123456789abcdef";
-  char digit = kHex[key.lo & (kDiskShards - 1)];
-  return StrCat(dir, "/shard-", std::string(1, digit));
-}
-
-std::string PipelineCache::EntryPath(const std::string& dir,
-                                     const CacheKey& key) {
-  return StrCat(ShardDirOf(dir, key), "/", key.ToHex(), ".hsv");
-}
-
-uint64_t PipelineCache::SweepTmpFilesLocked(const std::string& shard_dir) {
-  namespace fs = std::filesystem;
-  uint64_t swept = 0;
+  if (options_.dir.empty()) return;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(shard_dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    std::string name = entry.path().filename().string();
-    if (!IsTmpFileName(name)) continue;
-    // Grace window: a tmp file younger than this may belong to a
-    // writer that raced us to the shard lease (acquired it after our
-    // try-lock, or is between create and lease in a crashed-and-
-    // restarted path). Past the window, a tmp under a lease we hold is
-    // provably abandoned.
-    if (FileAgeSeconds(entry.path()) < options_.tmp_grace_seconds) continue;
-    fs::remove(entry.path(), ec);
-    if (!ec) ++swept;
-  }
-  return swept;
+  std::filesystem::create_directories(options_.dir, ec);
+  // On failure there is no disk tier this run: every store fails to
+  // take its shard lock and counts a write failure.
+  if (!ec) RecoverManifest();
 }
 
-void PipelineCache::OpenDiskTier() {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(options_.dir, ec);
-  if (ec) return;  // no disk tier this run; stores will retry creation
-
-  uint64_t migrated = 0;
-  uint64_t swept = 0;
-  // Migrate pre-shard flat-layout entries ("<dir>/<32 hex>-....hsv")
-  // into their shard so old caches stay warm across the layout change;
-  // top-level tmp and manifest-tmp leftovers age out under the grace
-  // window (no shard lease exists for the legacy layout).
-  for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    std::string name = entry.path().filename().string();
-    if (IsTmpFileName(name)) {
-      if (FileAgeSeconds(entry.path()) >= options_.tmp_grace_seconds) {
-        fs::remove(entry.path(), ec);
-        if (!ec) ++swept;
-      }
-      continue;
-    }
-    // "<16 hex>-<16 hex>.hsv" — the shard digit is the last hex char
-    // of `lo` (EntryPath uses lo's low bits).
-    if (!IsEntryFileName(name) || name.size() != 37 || name[16] != '-') {
-      continue;
-    }
-    char digit = name[32];
-    bool hex = (digit >= '0' && digit <= '9') || (digit >= 'a' && digit <= 'f');
-    if (!hex) continue;
-    std::string shard_dir =
-        StrCat(options_.dir, "/shard-", std::string(1, digit));
-    fs::create_directories(shard_dir, ec);
-    fs::rename(entry.path(), fs::path(shard_dir) / name, ec);
-    if (!ec) ++migrated;
+PipelineCache::~PipelineCache() {
+  for (DiskShard& shard : disk_) {
+    if (shard.log_fd >= 0) ::close(shard.log_fd);
   }
+}
 
-  RecoverManifest();
-
-  // Per-shard crash recovery, under each shard's write lease. A busy
-  // lease means a live writer owns the shard right now — its tmp files
-  // are live and its lease record is current, so skip it entirely
-  // (this is what makes the open-time sweep safe against concurrent
-  // writers).
-  uint64_t stale = 0;
-  static const char kHex[] = "0123456789abcdef";
-  for (size_t s = 0; s < kDiskShards; ++s) {
-    std::string shard_dir =
-        StrCat(options_.dir, "/shard-", std::string(1, kHex[s]));
-    fs::create_directories(shard_dir, ec);
-    auto lock_or = FileLock::TryAcquire(StrCat(shard_dir, "/.lease"));
-    if (!lock_or.ok() || !lock_or.value().held()) continue;
-    FileLock lease = std::move(lock_or.value());
-    // A store clears its lease record before releasing; a non-empty
-    // record under a lease we could take is a writer that died
-    // mid-store. The pid + boot-id check guards against the one
-    // ambiguity flock cannot see: a record whose pid was recycled by
-    // an unrelated live process.
-    std::string record = lease.ReadRecord();
-    if (!record.empty() && LeaseRecordStale(record)) {
-      lease.WriteRecord("");
-      ++stale;
-    }
-    swept += SweepTmpFilesLocked(shard_dir);
-  }
-
-  std::lock_guard<std::mutex> lock(misc_mu_);
-  misc_stats_.legacy_entries_migrated += migrated;
-  misc_stats_.tmp_files_swept += swept;
-  misc_stats_.stale_leases_recovered += stale;
+std::string PipelineCache::LogPath(const std::string& dir,
+                                   const CacheKey& key) {
+  return ShardFile(dir, DiskShardOf(key), ".hsl");
 }
 
 void PipelineCache::RecoverManifest() {
-  namespace fs = std::filesystem;
   std::string path = StrCat(options_.dir, "/", kManifestName);
   std::string data;
-  {
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      char buf[256];
-      for (;;) {
-        ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n <= 0) break;
-        data.append(buf, static_cast<size_t>(n));
-        if (data.size() > 4096) break;
-      }
-      ::close(fd);
-    }
-  }
+  // A missing or unreadable manifest reads as empty or partial; both
+  // fail the checks below and are rebuilt.
+  ReadWholeFile(path, &data);
 
   // "HSMF 1 gen <G>\nsum <16 hex>\n" — the sum line is FNV over the
   // first line, so a torn or bit-flipped manifest is detected, not
@@ -293,23 +382,13 @@ bool PipelineCache::WriteManifestFile(uint64_t generation) {
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
   if (fd < 0) return false;
-  size_t off = 0;
-  bool ok = true;
-  while (off < data.size()) {
-    ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
+  bool ok = WriteAll(fd, data) && ::fsync(fd) == 0;
   ::close(fd);
   if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
   if (!ok) ::unlink(tmp.c_str());
   return ok;
 }
+
 
 std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
   Shard& shard = ShardFor(key);
@@ -365,291 +444,217 @@ void PipelineCache::InsertLocked(Shard& shard, const CacheKey& key,
   }
 }
 
-std::string PipelineCache::DiskPath(const CacheKey& key) const {
-  return EntryPath(options_.dir, key);
-}
-
 void PipelineCache::RetryBackoff(int attempt) {
-  {
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    ++misc_stats_.disk_retry_attempts;
-  }
+  Count(&PipelineCacheStats::disk_retry_attempts);
   if (options_.retry_backoff_us == 0) return;
   uint64_t us = static_cast<uint64_t>(options_.retry_backoff_us)
                 << (attempt > 0 ? attempt - 1 : 0);
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
+void PipelineCache::Count(uint64_t PipelineCacheStats::*field) {
+  std::lock_guard<std::mutex> lock(misc_mu_);
+  ++(misc_stats_.*field);
+}
+
+PipelineCache::LogSync PipelineCache::SyncShardLocked(size_t s, bool writer) {
+  DiskShard& shard = disk_[s];
+  std::string path = ShardFile(options_.dir, s, ".hsl");
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) {
+    if (errno != ENOENT) return LogSync::kFailed;
+    if (!writer) return LogSync::kMissing;
+    st.st_ino = 0;  // forces the (creating) open below
+  }
+  if (shard.log_fd < 0 || static_cast<uint64_t>(st.st_ino) != shard.ino ||
+      static_cast<uint64_t>(st.st_dev) != shard.dev ||
+      static_cast<uint64_t>(st.st_size) < shard.indexed_end) {
+    // First use, a compaction renamed a new log into place, or the file
+    // shrank under us: index the current inode from scratch.
+    if (shard.log_fd >= 0) ::close(shard.log_fd);
+    shard.index.clear();
+    shard.indexed_end = 0;
+    const int create = writer ? O_CREAT : 0;
+    shard.log_fd =
+        ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC | create, 0644);
+    if (shard.log_fd < 0 || ::fstat(shard.log_fd, &st) != 0) {
+      const bool missing = errno == ENOENT;
+      if (shard.log_fd >= 0) ::close(shard.log_fd);
+      shard.log_fd = -1;
+      return missing ? LogSync::kMissing : LogSync::kFailed;
+    }
+    shard.dev = static_cast<uint64_t>(st.st_dev);
+    shard.ino = static_cast<uint64_t>(st.st_ino);
+  }
+  uint64_t size = static_cast<uint64_t>(st.st_size);
+  if (size <= shard.indexed_end) return LogSync::kReady;
+
+  std::string buf;
+  if (!ReadAt(shard.log_fd, shard.indexed_end, size - shard.indexed_end,
+              &buf)) {
+    return LogSync::kFailed;
+  }
+  ScanResult scan = ScanLog(buf, shard.indexed_end,
+                            [&](const LogRecord& rec, uint64_t offset) {
+                              shard.index[rec.key] = {offset, rec.length};
+                            });
+  bool repaired = false;
+  if (writer && scan.end < buf.size()) {
+    // Under the flock no append is in flight, so bytes past the last
+    // valid record belong to a writer that died or tore mid-append.
+    if (::ftruncate(shard.log_fd,
+                    static_cast<off_t>(shard.indexed_end + scan.end)) != 0) {
+      return LogSync::kFailed;
+    }
+    repaired = true;
+  }
+  shard.indexed_end += scan.end;
+  if (scan.corrupt > 0 || repaired) {
+    std::lock_guard<std::mutex> lock(misc_mu_);
+    misc_stats_.disk_corrupt += scan.corrupt;
+    misc_stats_.torn_tails_repaired += repaired ? 1 : 0;
+  }
+  return LogSync::kReady;
+}
+
 std::optional<CachedVerdict> PipelineCache::DiskLookup(const CacheKey& key) {
-  std::string path = DiskPath(key);
+  DiskShard& shard = disk_[DiskShardOf(key)];
   FaultInjector& faults = FaultInjector::Global();
   std::string data;
+  RecordRef ref;
   for (int attempt = 0;; ++attempt) {
     if (attempt > 0) RetryBackoff(attempt);
     faults.MaybeCrash();
     // EIO is transient: retry with backoff, then degrade to a miss.
-    if (faults.ShouldInject(FaultKind::kReadError)) {
-      if (attempt < options_.disk_retries) continue;
-      std::lock_guard<std::mutex> lock(misc_mu_);
-      ++misc_stats_.disk_read_failures;
-      return std::nullopt;
-    }
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      if (errno == ENOENT) {
-        std::lock_guard<std::mutex> lock(misc_mu_);
-        ++misc_stats_.disk_misses;
+    bool read_ok = !faults.ShouldInject(FaultKind::kReadError);
+    if (read_ok) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      LogSync sync = SyncShardLocked(DiskShardOf(key), false);
+      auto it = shard.index.find(key);
+      if (sync == LogSync::kMissing ||
+          (sync == LogSync::kReady && it == shard.index.end())) {
+        Count(&PipelineCacheStats::disk_misses);
         return std::nullopt;
       }
-      if (attempt < options_.disk_retries) continue;
-      std::lock_guard<std::mutex> lock(misc_mu_);
-      ++misc_stats_.disk_read_failures;
-      return std::nullopt;
-    }
-    data.clear();
-    char buf[4096];
-    bool read_ok = true;
-    for (;;) {
-      ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n == 0) break;
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        read_ok = false;
-        break;
+      read_ok = sync == LogSync::kReady;
+      if (read_ok) {
+        ref = it->second;
+        read_ok = ReadAt(shard.log_fd, ref.offset, ref.length, &data);
       }
-      data.append(buf, static_cast<size_t>(n));
     }
-    ::close(fd);
     if (read_ok) break;
     if (attempt >= options_.disk_retries) {
-      std::lock_guard<std::mutex> lock(misc_mu_);
-      ++misc_stats_.disk_read_failures;
+      Count(&PipelineCacheStats::disk_read_failures);
       return std::nullopt;
     }
   }
-  // Media corruption: flip one bit of what we read back. The checksum
-  // (or a structural check) below catches it; the entry is unlinked so
-  // the next store repairs it.
+  // Media corruption: flip one bit of what we read back. Re-verifying
+  // the record below catches it.
   if (faults.ShouldInject(FaultKind::kBitFlip)) faults.CorruptOneBit(&data);
 
-  auto corrupt = [&]() -> std::optional<CachedVerdict> {
-    // A bad entry is just a miss; drop the file so it is not re-read.
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    ++misc_stats_.disk_corrupt;
+  LogRecord rec;
+  if (ParseRecord(data, 0, &rec) != Parse::kOk || rec.length != data.size() ||
+      !(rec.key == key)) {
+    // A bad record is just a miss. Forget it so it is not re-read; the
+    // next store of the key appends a record that supersedes it.
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      auto it = shard.index.find(key);
+      if (it != shard.index.end() && it->second.offset == ref.offset) {
+        shard.index.erase(it);
+      }
+    }
+    Count(&PipelineCacheStats::disk_corrupt);
     return std::nullopt;
-  };
-
-  if (data.size() < sizeof(kDiskMagic) + 4 + 8 ||
-      std::memcmp(data.data(), kDiskMagic, sizeof(kDiskMagic)) != 0) {
-    return corrupt();
   }
-  std::string_view payload(data.data() + sizeof(kDiskMagic),
-                           data.size() - sizeof(kDiskMagic) - 8);
-  size_t pos = sizeof(kDiskMagic);
-  uint32_t version = 0;
-  if (!ReadU32(data, &pos, &version) || version != kDiskFormatVersion) {
-    return corrupt();
-  }
-  uint64_t stored_hi = 0, stored_lo = 0;
-  if (!ReadU64(data, &pos, &stored_hi) || !ReadU64(data, &pos, &stored_lo) ||
-      stored_hi != key.hi || stored_lo != key.lo) {
-    return corrupt();
-  }
-  CachedVerdict out;
-  uint32_t verdict_raw = 0, explanation_len = 0;
-  if (!ReadU32(data, &pos, &verdict_raw) || verdict_raw > 2 ||
-      !ReadU64(data, &pos, &out.steps) ||
-      !ReadU64(data, &pos, &out.graphs_checked) ||
-      !ReadU64(data, &pos, &out.memo_hits) ||
-      !ReadU64(data, &pos, &out.memo_misses) ||
-      !ReadU64(data, &pos, &out.scc_short_circuits) ||
-      !ReadU32(data, &pos, &explanation_len) ||
-      pos + explanation_len + 8 != data.size()) {
-    return corrupt();
-  }
-  out.verdict = static_cast<Safety>(verdict_raw);
-  out.explanation = data.substr(pos, explanation_len);
-  pos += explanation_len;
-  uint64_t stored_sum = 0;
-  if (!ReadU64(data, &pos, &stored_sum) || stored_sum != Checksum(payload)) {
-    return corrupt();
-  }
-  {
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    ++misc_stats_.disk_hits;
-  }
-  return out;
+  Count(&PipelineCacheStats::disk_hits);
+  return std::move(rec.verdict);
 }
 
 void PipelineCache::DiskStore(const CacheKey& key,
                               const CachedVerdict& verdict) {
-  std::error_code ec;
-  std::string shard_dir = ShardDirOf(options_.dir, key);
-  std::filesystem::create_directories(shard_dir, ec);
-
-  std::string payload;
-  AppendU32(&payload, kDiskFormatVersion);
-  AppendU64(&payload, key.hi);
-  AppendU64(&payload, key.lo);
-  AppendU32(&payload, static_cast<uint32_t>(verdict.verdict));
-  AppendU64(&payload, verdict.steps);
-  AppendU64(&payload, verdict.graphs_checked);
-  AppendU64(&payload, verdict.memo_hits);
-  AppendU64(&payload, verdict.memo_misses);
-  AppendU64(&payload, verdict.scc_short_circuits);
-  AppendU32(&payload, static_cast<uint32_t>(verdict.explanation.size()));
-  payload += verdict.explanation;
-
-  std::string data(kDiskMagic, sizeof(kDiskMagic));
-  data += payload;
-  AppendU64(&data, Checksum(payload));
-
-  // Write-temp-fsync-rename so a concurrent reader (or a crash) never
-  // sees a torn entry. Transient failures (EIO, short write) retry
-  // with backoff; ENOSPC downgrades the store to memory-only.
-  std::string path = DiskPath(key);
-  std::string tmp = StrCat(path, ".tmp.", ::getpid(), ".",
-                           tmp_seq_.fetch_add(1, std::memory_order_relaxed));
+  const size_t s = DiskShardOf(key);
+  DiskShard& shard = disk_[s];
+  const std::string record = EncodeRecord(key, NowNs(), verdict);
   FaultInjector& faults = FaultInjector::Global();
 
   faults.MaybeCrash();
-  // The shard write lease: held (blocking flock) for the whole store so
-  // sweepers and compactors know this shard has a live writer — a tmp
-  // file only ever exists while its writer holds the lease. The kernel
-  // drops the flock if we die; the pid+boot record we leave behind is
-  // what the next opener's stale-lease recovery reads. On every normal
-  // exit from this function the record is cleared before release, so a
-  // surviving record *is* the crash evidence.
-  auto lease_or = FileLock::Acquire(StrCat(shard_dir, "/.lease"));
-  if (!lease_or.ok()) {
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    ++misc_stats_.disk_write_failures;
-    return;
-  }
-  FileLock lease = std::move(lease_or.value());
-  lease.WriteRecord(FormatLeaseRecord(::getpid(), BootId()));
-  {
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    ++misc_stats_.lease_acquisitions;
-  }
-  struct ClearRecord {
-    FileLock* lease;
-    bool steal;
-    ~ClearRecord() {
-      // Normal exit erases the crash evidence; an injected steal leaves
-      // a dead foreign holder's record in its place (modeling a
-      // half-recovered crash or clock-skewed NFS client), which the
-      // next opener must classify stale and absorb.
-      lease->WriteRecord(steal ? FormatLeaseRecord(1 << 30, "stolen-boot")
-                               : "");
-    }
-  } clear_record{&lease, faults.ShouldInject(FaultKind::kLeaseSteal)};
-
-  auto skip_full_disk = [&]() {
-    ::unlink(tmp.c_str());
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    ++misc_stats_.disk_write_skips;
-  };
-  auto fail = [&]() {
-    ::unlink(tmp.c_str());
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    ++misc_stats_.disk_write_failures;
-  };
+  // Both locks: the mutex guards this handle's view of the shard (its
+  // descriptor and index), the flock orders every writer of the log
+  // across handles and processes. The kernel drops the flock if we die.
+  std::lock_guard<std::mutex> guard(shard.mu);
+  auto lock = FileLock::Acquire(ShardFile(options_.dir, s, ".lock"));
+  if (!lock.ok()) return Count(&PipelineCacheStats::disk_write_failures);
+  Count(&PipelineCacheStats::lease_acquisitions);
+  faults.MaybeCrash();
 
   for (int attempt = 0;; ++attempt) {
     if (attempt > 0) RetryBackoff(attempt);
-    // One ENOSPC decision per attempt, spread uniformly over the three
-    // syscalls that can hit a full disk (open / fsync / rename), so
-    // the fault is visible in exactly one counter (disk_write_skips)
-    // no matter where it lands. -1 = not injected this attempt.
-    int enospc_at =
-        faults.ShouldInject(FaultKind::kEnospc)
-            ? static_cast<int>(faults.PickPoint(3))
-            : -1;
-    faults.MaybeCrash();
-    if (enospc_at == 0) return skip_full_disk();
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                    0644);
-    if (fd < 0) {
-      if (errno == ENOSPC || errno == EDQUOT) return skip_full_disk();
+    if (SyncShardLocked(s, true) != LogSync::kReady) {
       if (attempt < options_.disk_retries) continue;
-      return fail();
+      return Count(&PipelineCacheStats::disk_write_failures);
     }
-    // Decide how much of the payload "reaches" the file: all of it, or
-    // an injected strict prefix (short write), or nothing (EIO).
-    size_t want = data.size();
+    // Synced under the flock: the log ends exactly at indexed_end.
+    const uint64_t start = shard.indexed_end;
+    // One ENOSPC decision per attempt, spread over the two syscalls
+    // that can hit a full disk (write / fdatasync), so the fault is
+    // visible in exactly one counter (disk_write_skips) wherever it
+    // lands. -1 = not injected this attempt.
+    int enospc_at = faults.ShouldInject(FaultKind::kEnospc)
+                        ? static_cast<int>(faults.PickPoint(2))
+                        : -1;
+    // How much of the record reaches the log: all of it, nothing (EIO),
+    // a prefix the writer sees fail (short write), or a prefix the
+    // writer never learns about (torn append: the write "succeeded"
+    // but the bytes past the prefix were lost before fdatasync).
+    std::string_view bytes = record;
     bool injected_failure = false;
-    if (faults.ShouldInject(FaultKind::kWriteError)) {
-      want = 0;
+    bool torn = false;
+    if (enospc_at == 0) {
+      bytes = {};
+    } else if (faults.ShouldInject(FaultKind::kWriteError)) {
+      bytes = {};
       injected_failure = true;
     } else if (faults.ShouldInject(FaultKind::kShortWrite)) {
-      want = faults.TornLength(data.size());
+      bytes = bytes.substr(0, faults.TornLength(record.size()));
       injected_failure = true;
+    } else if (enospc_at < 0 && faults.ShouldInject(FaultKind::kTornAppend)) {
+      bytes = bytes.substr(0, faults.TornLength(record.size()));
+      torn = true;
     }
-    bool io_ok = true;
-    bool full_disk = false;
-    size_t off = 0;
-    while (off < want) {
-      ssize_t n = ::write(fd, data.data() + off, want - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        full_disk = errno == ENOSPC || errno == EDQUOT;
-        io_ok = false;
-        break;
-      }
-      off += static_cast<size_t>(n);
-    }
-    if (io_ok && injected_failure) io_ok = false;
+    bool wrote = WriteAll(shard.log_fd, bytes);
+    bool full_disk = enospc_at == 0 || (!wrote && IsFullDisk(errno));
+    bool io_ok = wrote && !injected_failure && !full_disk;
     faults.MaybeCrash();
-    // Flush file contents before the rename publishes them — without
-    // this a crash after rename can leave a successfully named entry
-    // with zero-filled pages on journaled filesystems. fsync is also
-    // where delayed-allocation filesystems first report a full disk,
-    // so ENOSPC here (real or injected) is a non-fatal skip, not a
-    // write failure.
+    if (torn) return;  // the next store to this shard repairs the tail
     if (io_ok) {
       if (enospc_at == 1) {
         io_ok = false;
         full_disk = true;
-      } else if (::fsync(fd) != 0) {
-        full_disk = errno == ENOSPC || errno == EDQUOT;
+      } else if (::fdatasync(shard.log_fd) != 0) {
+        full_disk = IsFullDisk(errno);
         io_ok = false;
       }
     }
-    ::close(fd);
-    if (!io_ok) {
-      if (full_disk) return skip_full_disk();
-      ::unlink(tmp.c_str());
-      if (attempt < options_.disk_retries) continue;
-      return fail();
+    if (io_ok) {
+      shard.index[key] = {start, static_cast<uint32_t>(record.size())};
+      shard.indexed_end = start + record.size();
+      faults.MaybeCrash();
+      return;
     }
-    // A torn rename models a crash on a filesystem that reorders
-    // metadata: the destination name appears but holds a truncated
-    // payload. The writer cannot observe this — the entry is published
-    // and the *reader's* checksum must catch it (then self-heal by
-    // unlink).
-    if (faults.ShouldInject(FaultKind::kTornRename)) {
-      ::truncate(tmp.c_str(), static_cast<off_t>(
-          faults.TornLength(data.size())));
+    // Drop whatever part of the record reached the log; a record that
+    // was never made durable must not stay behind it.
+    if (::ftruncate(shard.log_fd, static_cast<off_t>(start)) != 0) {
+      // The leftover prefix is a torn tail; the next store repairs it.
     }
-    faults.MaybeCrash();
-    if (enospc_at == 2) return skip_full_disk();
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      if (errno == ENOSPC || errno == EDQUOT) return skip_full_disk();
-      ::unlink(tmp.c_str());
-      if (attempt < options_.disk_retries) continue;
-      return fail();
-    }
-    faults.MaybeCrash();
-    return;
+    if (full_disk) return Count(&PipelineCacheStats::disk_write_skips);
+    if (attempt < options_.disk_retries) continue;
+    return Count(&PipelineCacheStats::disk_write_failures);
   }
 }
 
 Result<PipelineCache::CompactionResult> PipelineCache::Compact(
     const CompactionOptions& bounds) {
-  namespace fs = std::filesystem;
   if (options_.dir.empty()) {
     return Status::NotFound("cache has no disk tier");
   }
@@ -669,68 +674,101 @@ Result<PipelineCache::CompactionResult> PipelineCache::Compact(
     return res;
   }
   FileLock compact_lock = std::move(lock_or.value());
-  compact_lock.WriteRecord(FormatLeaseRecord(::getpid(), BootId()));
 
-  // Collect entries shard by shard. Tmp sweeping needs the shard lease
-  // (same rule as open: never touch a live writer's tmp); entry
-  // unlinks do not — rename-over and unlink of a published entry are
-  // both atomic, and a reader that loses the race re-derives the
-  // verdict (a miss, never a torn read).
-  struct Entry {
-    std::string path;
-    uint64_t size;
-    int64_t age_seconds;
+  // The live entry of a key is its latest valid record.
+  struct Live {
+    int64_t stored_ns;
+    uint32_t length;
+    uint64_t offset;
   };
-  std::vector<Entry> entries;
+  using LiveMap = std::unordered_map<CacheKey, Live, CacheKeyHash>;
+  auto live_entries = [](std::string_view log) {
+    LiveMap live;
+    ScanLog(log, 0, [&](const LogRecord& rec, uint64_t offset) {
+      live[rec.key] = {rec.stored_ns, rec.length, offset};
+    });
+    return live;
+  };
+
+  // Pass 1, without the shard locks: pick the victims, oldest first.
+  // Concurrent appends only add newer records, which pass 2 keeps.
+  struct Candidate {
+    int64_t stored_ns;
+    size_t shard;
+    uint64_t offset;
+    uint32_t length;
+  };
+  std::vector<Candidate> candidates;
   uint64_t total_bytes = 0;
-  static const char kHex[] = "0123456789abcdef";
-  std::error_code ec;
+  std::array<bool, kDiskShards> has_log{};
+  std::string log;
   for (size_t s = 0; s < kDiskShards; ++s) {
-    std::string shard_dir =
-        StrCat(options_.dir, "/shard-", std::string(1, kHex[s]));
-    auto shard_lock_or = FileLock::TryAcquire(StrCat(shard_dir, "/.lease"));
-    if (shard_lock_or.ok() && shard_lock_or.value().held()) {
-      std::string record = shard_lock_or.value().ReadRecord();
-      if (!record.empty() && LeaseRecordStale(record)) {
-        shard_lock_or.value().WriteRecord("");
-        std::lock_guard<std::mutex> lock(misc_mu_);
-        ++misc_stats_.stale_leases_recovered;
-      }
-      res.tmp_files_swept += SweepTmpFilesLocked(shard_dir);
-    }
-    for (const auto& entry : fs::directory_iterator(shard_dir, ec)) {
-      if (!entry.is_regular_file(ec)) continue;
-      std::string name = entry.path().filename().string();
-      if (!IsEntryFileName(name)) continue;
-      uint64_t size = entry.file_size(ec);
-      if (ec) size = 0;
-      entries.push_back(
-          {entry.path().string(), size, FileAgeSeconds(entry.path())});
-      total_bytes += size;
+    if (!ReadWholeFile(ShardFile(options_.dir, s, ".hsl"), &log)) continue;
+    has_log[s] = !log.empty();
+    for (const auto& [key, e] : live_entries(log)) {
+      candidates.push_back({e.stored_ns, s, e.offset, e.length});
+      total_bytes += e.length;
     }
   }
-  res.entries_scanned = entries.size();
-
-  // Oldest-first victim order; age-expired entries go unconditionally,
-  // then the tail until the size bound holds. Unlinks are idempotent —
-  // a compactor killed between any two of them leaves a smaller tier
-  // the next pass finishes shrinking.
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.age_seconds > b.age_seconds;
+  res.entries_scanned = candidates.size();
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return std::tie(a.stored_ns, a.shard, a.offset) <
+                     std::tie(b.stored_ns, b.shard, b.offset);
             });
-  for (const Entry& entry : entries) {
+  const int64_t now = NowNs();
+  std::array<std::unordered_set<uint64_t>, kDiskShards> victims;
+  for (const Candidate& c : candidates) {
     bool expired = bounds.max_age_seconds > 0 &&
-                   entry.age_seconds >= bounds.max_age_seconds;
-    bool over_budget =
-        bounds.max_bytes > 0 && total_bytes > bounds.max_bytes;
+                   now - c.stored_ns >= bounds.max_age_seconds * 1000000000LL;
+    bool over_budget = bounds.max_bytes > 0 && total_bytes > bounds.max_bytes;
     if (!expired && !over_budget) continue;
+    victims[c.shard].insert(c.offset);
+    total_bytes -= c.length;
+  }
+
+  // Pass 2, one shard at a time under its flock: rewrite the log with
+  // its surviving live records (in log order) whenever that drops
+  // anything — a victim, a superseded record, damaged bytes. The new
+  // log replaces the old by rename, so a crash at any point leaves one
+  // or the other; readers notice the new inode on their next lookup.
+  for (size_t s = 0; s < kDiskShards; ++s) {
+    if (!has_log[s]) continue;
+    const std::string path = ShardFile(options_.dir, s, ".hsl");
     faults.MaybeCrash();
-    fs::remove(entry.path, ec);
-    if (ec) continue;
-    ++res.entries_removed;
-    res.bytes_removed += entry.size;
-    total_bytes -= entry.size;
+    auto shard_lock = FileLock::Acquire(ShardFile(options_.dir, s, ".lock"));
+    if (!shard_lock.ok() || !ReadWholeFile(path, &log) || log.empty()) {
+      continue;
+    }
+    std::vector<Live> keep;
+    uint64_t removed = 0, removed_bytes = 0;
+    for (const auto& [key, e] : live_entries(log)) {
+      if (victims[s].count(e.offset) > 0) {
+        ++removed;
+        removed_bytes += e.length;
+      } else {
+        keep.push_back(e);
+      }
+    }
+    std::sort(keep.begin(), keep.end(), [](const Live& a, const Live& b) {
+      return a.offset < b.offset;
+    });
+    std::string rewritten;
+    for (const Live& e : keep) rewritten.append(log, e.offset, e.length);
+    if (rewritten.size() == log.size()) continue;
+    const std::string tmp = StrCat(path, ".compact");
+    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0644);
+    if (fd < 0) continue;
+    bool ok = WriteAll(fd, rewritten) && ::fsync(fd) == 0;
+    ::close(fd);
+    faults.MaybeCrash();
+    if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
+      ::unlink(tmp.c_str());
+      continue;
+    }
+    res.entries_removed += removed;
+    res.bytes_removed += removed_bytes;
   }
 
   // The generation bump is the pass's commit record: written last, via
@@ -752,10 +790,8 @@ Result<PipelineCache::CompactionResult> PipelineCache::Compact(
     ++misc_stats_.compactions_run;
     misc_stats_.compaction_entries_removed += res.entries_removed;
     misc_stats_.compaction_bytes_removed += res.bytes_removed;
-    misc_stats_.tmp_files_swept += res.tmp_files_swept;
     res.generation = manifest_generation_;
   }
-  compact_lock.WriteRecord("");
   res.ran = true;
   return res;
 }
@@ -765,8 +801,6 @@ Result<PipelineCache::CompactionResult> PipelineCache::CompactDir(
   Options options;
   options.max_entries = 64;  // tool handle: the memory tier is unused
   options.dir = dir;
-  // Opening runs the full crash-recovery pass first — exactly what a
-  // standalone GC tool wants.
   PipelineCache cache(options);
   return cache.Compact(bounds);
 }

@@ -2,7 +2,6 @@
 #define HORNSAFE_CORE_PIPELINE_CACHE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -78,27 +77,20 @@ struct PipelineCacheStats {
   uint64_t disk_write_skips = 0;
   /// Transient disk faults that were retried (any tier, any attempt).
   uint64_t disk_retry_attempts = 0;
-  /// Stale "*.tmp.*" files from crashed writers removed at open or
-  /// compaction. Only files older than the grace window and inside a
-  /// shard whose write lease the sweeper holds are eligible — a
-  /// concurrent writer's live tmp file is never swept (it holds the
-  /// lease while its tmp exists).
-  uint64_t tmp_files_swept = 0;
   // --- Multi-writer disk-tier coordination (DESIGN.md, D16) ---
-  /// Shard write leases taken by this process's stores.
+  /// Shard log locks taken by this handle's stores: exactly one per
+  /// disk store.
   uint64_t lease_acquisitions = 0;
-  /// Shard leases found at open/compaction whose recorded holder died
-  /// mid-store (dead pid or foreign boot id): the crash evidence was
-  /// cleared and the shard's abandoned tmp files became sweepable.
-  uint64_t stale_leases_recovered = 0;
+  /// Torn tails (bytes past the last valid record, left by a writer
+  /// that died or was torn mid-append) truncated by this handle's
+  /// stores before appending.
+  uint64_t torn_tails_repaired = 0;
   /// Generation stamp of the cache manifest (a value, not a counter —
   /// bumped by each completed compaction pass).
   uint64_t manifest_generation = 0;
   /// Manifests found missing-while-entries-exist or corrupt at open
   /// and rolled back to a fresh generation.
   uint64_t manifest_rollbacks = 0;
-  /// Pre-shard flat-layout entries moved into their shard at open.
-  uint64_t legacy_entries_migrated = 0;
   /// Compaction passes completed by this handle / skipped because
   /// another process held the compaction lock.
   uint64_t compactions_run = 0;
@@ -160,33 +152,33 @@ struct PipelineCacheStats {
 /// single mutex (they are touched once per pipeline build, not per
 /// search, so striping them would buy nothing).
 ///
-/// Disk format: one file per key under `options.dir/shard-<x>/` (16
-/// shards keyed by the low bits of `key.lo`), named "<key hex>.hsv",
-/// containing a magic tag, a format version, the verdict fields and an
-/// FNV checksum. Entries that fail any of those checks are treated as
-/// misses, counted in `disk_corrupt`, and unlinked so the next store
-/// repairs them (self-healing); files are written to a temp name,
-/// fsynced, and renamed, so concurrent readers and crashes never
-/// expose a torn entry. Transient I/O errors are retried with
-/// exponential backoff (`disk_retries`); a full disk (ENOSPC)
-/// downgrades the store to memory-only instead of failing the
-/// analysis. Every disk syscall is wrapped by the process-wide
-/// `FaultInjector` (util/fault.h), so the failure paths are exercised
-/// deterministically in tests. See DESIGN.md, D13.
+/// Disk format: one append-only log per shard, `<dir>/shard-<x>.hsl`
+/// (16 shards keyed by the low bits of `key.lo`). Each record is
+/// self-checksummed: magic, length, format version, key, store time,
+/// the verdict fields and an FNV sum. A store appends one record and
+/// `fdatasync`s it under the handle's shard mutex and the shard's flock
+/// (`shard-<x>.lock`), so a returned store is durable and every other
+/// handle sees it on its next lookup. Readers keep a key -> offset
+/// index per shard, extend it by parsing only the bytes appended since
+/// their last look, re-verify the checksum of every record they serve
+/// (a bad record is a counted miss; the next store of that key
+/// supersedes it), and rebuild it when the log's inode changes.
+/// Transient I/O errors are retried with exponential backoff
+/// (`disk_retries`); a full disk (ENOSPC) downgrades the store to
+/// memory-only instead of failing the analysis. Every disk syscall is
+/// wrapped by the process-wide `FaultInjector` (util/fault.h), so the
+/// failure paths are exercised deterministically in tests. See
+/// DESIGN.md, D13.
 ///
 /// Multi-writer coordination (DESIGN.md, D16): any number of processes
-/// may share one cache directory. Writers take an advisory flock
-/// lease on the shard (`shard-<x>/.lease`) for the duration of a
-/// store and record "pid + boot id" in it; the kernel drops the flock
-/// if the writer dies, and the record left behind is the crash
-/// evidence the next opener uses (stale-lease recovery). Openers
-/// sweep abandoned "*.tmp.*" files only inside shards whose lease
-/// they can take and only past a grace window, so a live writer's tmp
-/// file is never deleted out from under it. A generation-stamped
-/// MANIFEST is repaired (rolled back to a fresh generation) when
-/// corrupt, and `Compact()` runs a single-writer (flock-elected),
-/// size- and age-bounded GC pass that is crash-interruptible at any
-/// syscall and resumable by the next caller.
+/// may share one cache directory. A writer that dies mid-append leaves
+/// at most a torn tail; the next store to that shard finds the bytes
+/// past the last valid record and truncates them before appending
+/// (`torn_tails_repaired`), and no reader ever indexes them. A
+/// generation-stamped MANIFEST is repaired (rolled back to a fresh
+/// generation) when corrupt, and `Compact()` runs a single-writer
+/// (flock-elected), size- and age-bounded GC pass that rewrites each
+/// log by rename and is crash-interruptible at any syscall.
 class PipelineCache {
  public:
   struct Options {
@@ -203,33 +195,26 @@ class PipelineCache {
     /// Backoff before retry k is `retry_backoff_us << (k-1)`
     /// microseconds (exponential, capped by the retry count).
     uint32_t retry_backoff_us = 100;
-    /// Abandoned "*.tmp.*" files are only swept once older than this —
-    /// the second guard (after the shard lease) against deleting a
-    /// concurrent writer's live tmp file. Tests set 0 to make sweeps
-    /// immediate.
-    int64_t tmp_grace_seconds = 60;
   };
 
   /// Bump when CachedVerdict's serialized layout changes; readers treat
   /// any other version as a miss.
-  static constexpr uint32_t kDiskFormatVersion = 1;
+  static constexpr uint32_t kDiskFormatVersion = 2;
 
-  /// Disk-tier shard fan-out. Writers lease one shard at a time, so 16
-  /// shards keep N fleet workers (typically <= cores) off each other's
-  /// locks the same way the in-memory stripes do.
+  /// Disk-tier shard fan-out. Writers lock one shard log at a time, so
+  /// 16 shards keep N fleet workers (typically <= cores) off each
+  /// other's locks the same way the in-memory stripes do.
   static constexpr size_t kDiskShards = 16;
 
-  /// Shard subdirectory of `key` under `dir` ("<dir>/shard-<x>").
-  static std::string ShardDirOf(const std::string& dir, const CacheKey& key);
-  /// Full on-disk path of `key`'s entry ("<shard dir>/<key hex>.hsv").
-  /// Exposed so tests and tools can place or inspect entries without
-  /// re-deriving the layout.
-  static std::string EntryPath(const std::string& dir, const CacheKey& key);
+  /// The log holding `key`'s records ("<dir>/shard-<x>.hsl"). Exposed
+  /// so tests and tools can inspect the log without re-deriving the
+  /// layout.
+  static std::string LogPath(const std::string& dir, const CacheKey& key);
 
   /// Bounds for one compaction/GC pass over the disk tier.
   struct CompactionOptions {
-    /// Target total entry bytes; oldest entries are removed until the
-    /// tier fits. 0 disables the size bound.
+    /// Target total record bytes; the oldest entries are removed until
+    /// the tier fits. 0 disables the size bound.
     uint64_t max_bytes = 0;
     /// Entries older than this are removed regardless of size. 0
     /// disables the age bound.
@@ -243,13 +228,15 @@ class PipelineCache {
     uint64_t entries_scanned = 0;
     uint64_t entries_removed = 0;
     uint64_t bytes_removed = 0;
-    uint64_t tmp_files_swept = 0;
     /// Manifest generation after the pass.
     uint64_t generation = 0;
   };
 
   PipelineCache() : PipelineCache(Options{}) {}
   explicit PipelineCache(Options options);
+  ~PipelineCache();
+  PipelineCache(const PipelineCache&) = delete;
+  PipelineCache& operator=(const PipelineCache&) = delete;
 
   // --- Verdict tier (thread-safe) ---------------------------------------
 
@@ -328,18 +315,17 @@ class PipelineCache {
 
   /// Runs one compaction/GC pass over the disk tier: elects itself the
   /// single compactor via `<dir>/.compact.lock` (busy -> `ran=false`),
-  /// removes age-expired entries, then the oldest entries until the
-  /// tier fits `max_bytes`, sweeps abandoned tmp files (under each
-  /// shard's lease, past the grace window), and bumps the manifest
-  /// generation. Every step is idempotent, so a compactor killed at
-  /// any syscall leaves a tier the next open or pass recovers; errors
-  /// are returned only for a missing disk tier or lock syscall
-  /// failure.
+  /// picks the age-expired entries and then the oldest ones until the
+  /// tier fits `max_bytes`, rewrites every log that holds a victim, a
+  /// superseded record or damaged bytes (latest valid record per key,
+  /// written to a temp file, fsynced and renamed over the log under the
+  /// shard lock), and bumps the manifest generation. A compactor killed
+  /// at any syscall leaves every log either old or new; errors are
+  /// returned only for a missing disk tier or lock syscall failure.
   Result<CompactionResult> Compact(const CompactionOptions& bounds);
 
   /// Convenience for tools (`hornsafe cache-compact`, the fleet
-  /// driver): opens `dir` — running the full crash-recovery pass — and
-  /// compacts it.
+  /// driver): opens `dir` (repairing its manifest) and compacts it.
   static Result<CompactionResult> CompactDir(const std::string& dir,
                                              const CompactionOptions& bounds);
 
@@ -385,21 +371,42 @@ class PipelineCache {
     return shards_[static_cast<size_t>(key.lo) % shard_count_];
   }
 
+  /// Where one record sits in its shard log.
+  struct RecordRef {
+    uint64_t offset = 0;
+    uint32_t length = 0;
+  };
+
+  /// One shard log as this handle sees it. `mu` guards the descriptor
+  /// and the index: readers hold it while they extend the index and
+  /// read a record, writers hold it and the shard's flock for the whole
+  /// append.
+  struct DiskShard {
+    std::mutex mu;
+    int log_fd = -1;
+    uint64_t dev = 0;
+    uint64_t ino = 0;
+    /// Log bytes already parsed into `index` (a record boundary).
+    uint64_t indexed_end = 0;
+    std::unordered_map<CacheKey, RecordRef, CacheKeyHash> index;
+  };
+
   std::optional<CachedVerdict> DiskLookup(const CacheKey& key);
   void DiskStore(const CacheKey& key, const CachedVerdict& verdict);
-  std::string DiskPath(const CacheKey& key) const;
-  /// Open-time disk recovery: create the shard layout, migrate legacy
-  /// flat entries, repair the manifest, recover stale leases and sweep
-  /// abandoned tmp files (lease + grace guarded).
-  void OpenDiskTier();
+  enum class LogSync { kReady, kMissing, kFailed };
+  /// Brings shard `s`'s index up to the log's current end, reopening
+  /// the log when its path now names another inode (a compaction) or
+  /// the file shrank. A `writer` (flock held) creates a missing log and
+  /// truncates a torn tail; readers leave unparsed tail bytes alone.
+  /// Caller holds `disk_[s].mu`.
+  LogSync SyncShardLocked(size_t s, bool writer);
   /// Reads/repairs `<dir>/MANIFEST`, setting manifest_generation_.
   void RecoverManifest();
   /// Writes the manifest at `generation` (temp + fsync + rename);
   /// best-effort — the next open repairs a failed write.
   bool WriteManifestFile(uint64_t generation);
-  /// Sweeps "*.tmp.*" files in `shard_dir` older than the grace
-  /// window. Caller must hold the shard lease.
-  uint64_t SweepTmpFilesLocked(const std::string& shard_dir);
+  /// Bumps one disk-tier counter of misc_stats_.
+  void Count(uint64_t PipelineCacheStats::*field);
   /// Counts a retry and sleeps `retry_backoff_us << (attempt-1)` µs.
   void RetryBackoff(int attempt);
   /// Inserts into `shard`'s LRU assuming its lock is held; evicts as
@@ -423,9 +430,7 @@ class PipelineCache {
   /// Manifest generation observed at open (or written by the last
   /// compaction through this handle). Guarded by misc_mu_.
   uint64_t manifest_generation_ = 0;
-  /// Distinguishes concurrent stores from one process (tmp file names
-  /// are "<entry>.tmp.<pid>.<seq>").
-  std::atomic<uint64_t> tmp_seq_{0};
+  std::array<DiskShard, kDiskShards> disk_;
 
   /// Guards the artifact tiers and the non-verdict counters (disk,
   /// invalidation, canon/emptiness). Never held during disk I/O.

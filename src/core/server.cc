@@ -458,9 +458,8 @@ Json Server::DoStats() const {
     cs.Set("disk_write_failures", s.disk_write_failures);
     cs.Set("disk_write_skips", s.disk_write_skips);
     cs.Set("disk_retry_attempts", s.disk_retry_attempts);
-    cs.Set("tmp_files_swept", s.tmp_files_swept);
     cs.Set("lease_acquisitions", s.lease_acquisitions);
-    cs.Set("stale_leases_recovered", s.stale_leases_recovered);
+    cs.Set("torn_tails_repaired", s.torn_tails_repaired);
     cs.Set("manifest_generation", s.manifest_generation);
     cs.Set("manifest_rollbacks", s.manifest_rollbacks);
     cs.Set("fragment_hits", s.fragment_hits);

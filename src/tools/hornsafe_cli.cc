@@ -331,7 +331,7 @@ void PrintStatsJson(const SafetyAnalyzer& analyzer,
     cs.Set("pred_hash_hits", s.pred_hash_hits);
     cs.Set("pred_hash_misses", s.pred_hash_misses);
     cs.Set("lease_acquisitions", s.lease_acquisitions);
-    cs.Set("stale_leases_recovered", s.stale_leases_recovered);
+    cs.Set("torn_tails_repaired", s.torn_tails_repaired);
     cs.Set("manifest_generation", s.manifest_generation);
     cs.Set("manifest_rollbacks", s.manifest_rollbacks);
     cs.Set("compactions_run", s.compactions_run);
@@ -377,16 +377,16 @@ void PrintCacheStats(const PipelineCache& cache) {
       static_cast<unsigned long long>(s.fd_index_misses),
       static_cast<unsigned long long>(s.pred_hash_hits),
       static_cast<unsigned long long>(s.pred_hash_misses));
-  if (s.lease_acquisitions + s.stale_leases_recovered +
+  if (s.lease_acquisitions + s.torn_tails_repaired +
           s.manifest_rollbacks + s.compactions_run + s.compactions_skipped >
       0) {
     std::printf(
-        "  shard leases taken:       %llu (stale recovered %llu)\n"
+        "  shard locks taken:        %llu (torn tails repaired %llu)\n"
         "  manifest generation:      %llu (rollbacks %llu)\n"
         "  compactions run/skipped:  %llu / %llu (removed %llu entries, "
         "%llu bytes)\n",
         static_cast<unsigned long long>(s.lease_acquisitions),
-        static_cast<unsigned long long>(s.stale_leases_recovered),
+        static_cast<unsigned long long>(s.torn_tails_repaired),
         static_cast<unsigned long long>(s.manifest_generation),
         static_cast<unsigned long long>(s.manifest_rollbacks),
         static_cast<unsigned long long>(s.compactions_run),
@@ -945,7 +945,6 @@ int CmdCacheCompact() {
     j.Set("entries_scanned", r.entries_scanned);
     j.Set("entries_removed", r.entries_removed);
     j.Set("bytes_removed", r.bytes_removed);
-    j.Set("tmp_files_swept", r.tmp_files_swept);
     j.Set("generation", r.generation);
     std::printf("%s\n", j.Dump().c_str());
   } else if (!r.ran) {
@@ -953,12 +952,11 @@ int CmdCacheCompact() {
   } else {
     std::printf(
         "compacted %s: scanned %llu entr(ies), removed %llu (%llu bytes), "
-        "swept %llu tmp file(s), generation %llu\n",
+        "generation %llu\n",
         g_flags.cache_dir.c_str(),
         static_cast<unsigned long long>(r.entries_scanned),
         static_cast<unsigned long long>(r.entries_removed),
         static_cast<unsigned long long>(r.bytes_removed),
-        static_cast<unsigned long long>(r.tmp_files_swept),
         static_cast<unsigned long long>(r.generation));
   }
   return 0;

@@ -11,8 +11,8 @@ namespace hornsafe {
 namespace {
 
 const char* kKindKeys[] = {
-    "read_error",   "write_error", "short_write",  "torn_rename",
-    "bit_flip",     "enospc",      "process_kill", "lease_steal",
+    "read_error", "write_error", "short_write",  "torn_append",
+    "bit_flip",   "enospc",      "process_kill",
 };
 static_assert(sizeof(kKindKeys) / sizeof(kKindKeys[0]) ==
                   static_cast<size_t>(FaultKind::kNumKinds),

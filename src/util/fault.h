@@ -12,39 +12,36 @@ namespace hornsafe {
 /// The disk-tier fault classes the injector can produce. Each maps to a
 /// concrete syscall-level failure mode of the PipelineCache disk tier:
 ///
-///   kReadError   — the entry file cannot be read (EIO); transient.
-///   kWriteError  — fwrite/write fails mid-stream (EIO); transient.
-///   kShortWrite  — only a prefix of the payload reaches the file
-///                  before the write fails; transient.
-///   kTornRename  — the rename "succeeds" but the destination holds a
-///                  truncated payload (models a crash between write and
-///                  fsync on a filesystem that reorders metadata);
-///                  persistent until the reader self-heals by unlink.
+///   kReadError   — the shard log cannot be read (EIO); transient.
+///   kWriteError  — the append fails with nothing written (EIO);
+///                  transient.
+///   kShortWrite  — only a prefix of the record reaches the file
+///                  before the write fails; transient (the writer
+///                  truncates the prefix away and retries).
+///   kTornAppend  — only a strict prefix of a log record reaches the
+///                  file and the writer does not notice (models a
+///                  crash between write and fdatasync that lost the
+///                  rest); persistent until the next store to that
+///                  shard truncates the torn tail.
 ///   kBitFlip     — one bit of the read-back payload is flipped
-///                  (models media corruption); persistent until the
-///                  checksum catches it and the reader unlinks.
+///                  (models media corruption); the record checksum
+///                  catches it and the reader drops the record.
 ///   kEnospc      — the filesystem is full (ENOSPC) at one uniformly
-///                  chosen wrap point of the store (open / fsync /
-///                  rename); persistent for the write attempt, treated
-///                  as a non-fatal skip.
+///                  chosen wrap point of the store (write / fdatasync);
+///                  persistent for the write attempt, treated as a
+///                  non-fatal skip.
 ///   kProcessKill — the process dies by SIGKILL at the wrap point
 ///                  (models a crash at that exact syscall: no
 ///                  destructors, no atexit handlers, held flocks
 ///                  dropped by the kernel). Drawn via MaybeCrash().
-///   kLeaseSteal  — the just-written shard lease record is overwritten
-///                  with a dead foreign holder's record (models a
-///                  half-recovered crash or clock-skewed NFS client);
-///                  the next opener's stale-lease recovery must absorb
-///                  it.
 enum class FaultKind : uint8_t {
   kReadError = 0,
   kWriteError,
   kShortWrite,
-  kTornRename,
+  kTornAppend,
   kBitFlip,
   kEnospc,
   kProcessKill,
-  kLeaseSteal,
   kNumKinds,  // sentinel
 };
 

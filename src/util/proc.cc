@@ -26,19 +26,6 @@ int OpenLockFile(const std::string& path) {
   return ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
 }
 
-std::string ReadAllFromFd(int fd) {
-  std::string out;
-  char buf[4096];
-  ::lseek(fd, 0, SEEK_SET);
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    out.append(buf, static_cast<size_t>(n));
-    if (out.size() >= 4096) break;
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<FileLock> FileLock::Acquire(const std::string& path) {
@@ -75,98 +62,6 @@ void FileLock::Release() {
   // close() drops the flock with it.
   ::close(fd_);
   fd_ = -1;
-}
-
-bool FileLock::WriteRecord(const std::string& record) {
-  if (fd_ < 0) return false;
-  if (::ftruncate(fd_, 0) != 0) return false;
-  if (::lseek(fd_, 0, SEEK_SET) < 0) return false;
-  size_t off = 0;
-  while (off < record.size()) {
-    ssize_t n = ::write(fd_, record.data() + off, record.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-std::string FileLock::ReadRecord() const {
-  if (fd_ < 0) return "";
-  return ReadAllFromFd(fd_);
-}
-
-std::string ReadLockRecord(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return "";
-  std::string out = ReadAllFromFd(fd);
-  ::close(fd);
-  return out;
-}
-
-const std::string& BootId() {
-  static const std::string* id = [] {
-    std::string text;
-    int fd = ::open("/proc/sys/kernel/random/boot_id", O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      text = ReadAllFromFd(fd);
-      ::close(fd);
-    }
-    while (!text.empty() &&
-           (text.back() == '\n' || text.back() == '\r' ||
-            text.back() == ' ')) {
-      text.pop_back();
-    }
-    if (text.empty()) text = "unknown-boot";
-    return new std::string(std::move(text));
-  }();
-  return *id;
-}
-
-bool ProcessAlive(pid_t pid) {
-  if (pid <= 0) return false;
-  if (::kill(pid, 0) == 0) return true;
-  return errno == EPERM;
-}
-
-std::string FormatLeaseRecord(pid_t pid, const std::string& boot_id) {
-  return StrCat("pid ", static_cast<long long>(pid), " boot ", boot_id, "\n");
-}
-
-bool ParseLeaseRecord(const std::string& record, pid_t* pid,
-                      std::string* boot_id) {
-  // "pid <n> boot <id>\n"
-  if (record.rfind("pid ", 0) != 0) return false;
-  size_t p = 4;
-  size_t sp = record.find(' ', p);
-  if (sp == std::string::npos) return false;
-  long long value = 0;
-  for (size_t i = p; i < sp; ++i) {
-    char c = record[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-    if (value > 1LL << 31) return false;
-  }
-  if (sp == p) return false;
-  if (record.compare(sp, 6, " boot ") != 0) return false;
-  size_t id_begin = sp + 6;
-  size_t id_end = record.find_first_of("\n\r", id_begin);
-  if (id_end == std::string::npos) id_end = record.size();
-  if (id_end == id_begin) return false;
-  *pid = static_cast<pid_t>(value);
-  *boot_id = record.substr(id_begin, id_end - id_begin);
-  return true;
-}
-
-bool LeaseRecordStale(const std::string& record) {
-  if (record.empty()) return false;  // nothing claimed
-  pid_t pid = 0;
-  std::string boot;
-  if (!ParseLeaseRecord(record, &pid, &boot)) return true;
-  if (boot != BootId()) return true;
-  return !ProcessAlive(pid);
 }
 
 Result<pid_t> SpawnProcess(const std::vector<std::string>& argv,

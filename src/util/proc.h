@@ -16,9 +16,9 @@ namespace hornsafe {
 /// lock when the holding process dies — even via SIGKILL — which is
 /// what makes it the right primitive for crash-safe multi-process
 /// cache coordination: a writer that is killed mid-store can never
-/// leave a shard locked. The lock file itself is never deleted (its
-/// *record* content is advisory metadata; deleting the inode would
-/// split concurrent lockers across two inodes).
+/// leave a shard locked. The lock file itself is never deleted
+/// (deleting the inode would split concurrent lockers across two
+/// inodes).
 class FileLock {
  public:
   FileLock() = default;
@@ -41,8 +41,8 @@ class FileLock {
   static Result<FileLock> Acquire(const std::string& path);
 
   /// Non-blocking acquire: on contention returns an un-held lock
-  /// (`held() == false`) rather than an error, so sweepers and
-  /// compactors can skip busy shards.
+  /// (`held() == false`) rather than an error, so a compactor can
+  /// skip a pass another process is already running.
   static Result<FileLock> TryAcquire(const std::string& path);
 
   bool held() const { return fd_ >= 0; }
@@ -50,44 +50,10 @@ class FileLock {
   /// Releases the lock (no-op when not held).
   void Release();
 
-  /// Overwrites the lock file's content with `record` (holder
-  /// metadata: pid + boot id). Requires `held()`.
-  bool WriteRecord(const std::string& record);
-
-  /// Reads the lock file's content (up to 4 KiB). Requires `held()`.
-  std::string ReadRecord() const;
-
  private:
   explicit FileLock(int fd) : fd_(fd) {}
   int fd_ = -1;
 };
-
-/// Reads a lock file's record content without taking the lock (for
-/// diagnostics; the authoritative liveness signal is the flock itself).
-std::string ReadLockRecord(const std::string& path);
-
-/// The kernel boot id (/proc/sys/kernel/random/boot_id, trimmed). A
-/// pid is only meaningful within one boot: a lease record naming a pid
-/// from a different boot is stale no matter what process now holds
-/// that pid. Falls back to "unknown-boot" when unreadable.
-const std::string& BootId();
-
-/// True when `pid` names a live process (kill(pid, 0); EPERM still
-/// counts as alive).
-bool ProcessAlive(pid_t pid);
-
-/// Renders a lease record: "pid <pid> boot <boot-id>".
-std::string FormatLeaseRecord(pid_t pid, const std::string& boot_id);
-
-/// Parses a lease record; false on malformed input.
-bool ParseLeaseRecord(const std::string& record, pid_t* pid,
-                      std::string* boot_id);
-
-/// True when `record` can no longer be backed by a live holder: empty
-/// records are not stale (nothing claimed), malformed records are
-/// stale, and a well-formed record is stale when its boot id differs
-/// from ours or its pid is dead on this boot.
-bool LeaseRecordStale(const std::string& record);
 
 // --- Subprocess helpers (fleet driver) ---------------------------------
 

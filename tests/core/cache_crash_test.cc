@@ -1,10 +1,10 @@
-// Satellite S3: kill-9-at-a-random-syscall crash recovery. A child
-// process analyzes against the shared disk cache with process_kill
-// injection armed, so it dies by SIGKILL at whatever wrapped syscall
-// the seed selects — mid-write, between fsync and rename, holding a
-// shard lease. The parent then reopens the same directory and must
-// find a cleanly recoverable tier whose warm verdicts are
-// bit-identical to a cold, fault-free run.
+// Kill-9-at-a-random-syscall crash recovery. A child process analyzes
+// against the shared disk cache with process_kill injection armed, so
+// it dies by SIGKILL at whatever wrapped syscall the seed selects —
+// holding a shard lock, between an append and its fdatasync, mid
+// compaction. The parent then reopens the same directory and must find
+// a cleanly recoverable tier whose warm verdicts are bit-identical to a
+// cold, fault-free run.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -67,7 +67,6 @@ class CacheCrashTest : public ::testing::Test {
     PipelineCache::Options copts;
     copts.dir = dir_.string();
     copts.retry_backoff_us = 0;
-    copts.tmp_grace_seconds = 0;  // sweep a crashed child's tmps now
     PipelineCache cache(copts);
     AnalyzerOptions opts;
     opts.cache = &cache;
@@ -137,21 +136,31 @@ TEST_F(CacheCrashTest, KillAtRandomSyscallAlwaysLeavesRecoverableCache) {
   EXPECT_GE(kills, 3);
 }
 
-TEST_F(CacheCrashTest, CrashWhileHoldingLeaseIsRecoveredByNextOpen) {
-  // A writer killed while holding a shard lease (record written, tmp
-  // file in flight) leaves exactly the on-disk state a real mid-store
-  // crash does: the kernel freed the flock, the record and tmp file
-  // survive. The next open must observe the stale record, clear it,
-  // sweep the tmp, and keep the shard writable.
-  fs::path shard = dir_ / "shard-5";
-  fs::create_directories(shard);
+TEST_F(CacheCrashTest, CrashWhileHoldingShardLockIsRepairedByNextStore) {
+  // A writer killed while holding a shard lock with half a record
+  // appended leaves exactly the on-disk state a real mid-append crash
+  // does: the kernel freed the flock, the partial record survives as
+  // the log's tail. The next store into that shard must truncate it
+  // and keep the shard writable.
+  std::vector<std::string> golden = Analyze();
+  ASSERT_FALSE(golden.empty());
+  fs::path log;
+  for (const auto& e : fs::directory_iterator(dir_)) {
+    if (e.path().extension() == ".hsl" && e.file_size() > 0) log = e.path();
+  }
+  ASSERT_FALSE(log.empty());
+  fs::path lock = log;
+  lock.replace_extension(".lock");
+  // Keep only the verdicts of the other shards, so the next run stores
+  // into this one.
+  std::ofstream(log, std::ios::binary | std::ios::trunc);
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    auto lease = FileLock::Acquire((shard / ".lease").string());
-    if (!lease.ok() || !lease->held()) _exit(2);
-    lease->WriteRecord(FormatLeaseRecord(::getpid(), BootId()));
-    std::ofstream((shard / "55.hsv.tmp.1.0").string()) << "half a write";
+    auto held = FileLock::Acquire(lock.string());
+    if (!held.ok() || !held->held()) _exit(2);
+    std::ofstream(log, std::ios::binary | std::ios::app)
+        << std::string("HSLR\x60\0\0\0half a record", 21);
     std::ofstream((dir_ / "ready").string()) << "1";
     for (;;) pause();
   }
@@ -163,15 +172,14 @@ TEST_F(CacheCrashTest, CrashWhileHoldingLeaseIsRecoveredByNextOpen) {
 
   PipelineCacheStats stats;
   std::vector<std::string> warm = Analyze(&stats);
-  EXPECT_FALSE(warm.empty());
-  EXPECT_GE(stats.stale_leases_recovered, 1u);
-  EXPECT_GE(stats.tmp_files_swept, 1u);
-  EXPECT_FALSE(fs::exists(shard / "55.hsv.tmp.1.0"));
+  EXPECT_EQ(warm, golden);
+  EXPECT_EQ(stats.torn_tails_repaired, 1u);
   EXPECT_EQ(stats.disk_write_failures, 0u);
-  // A second open sees a fully quiesced tier.
+  // A second run is served from whole records only.
   PipelineCacheStats second;
-  Analyze(&second);
-  EXPECT_EQ(second.stale_leases_recovered, 0u);
+  EXPECT_EQ(Analyze(&second), golden);
+  EXPECT_EQ(second.torn_tails_repaired, 0u);
+  EXPECT_EQ(second.disk_corrupt, 0u);
 }
 
 TEST_F(CacheCrashTest, CrashedCompactionIsResumable) {
@@ -199,21 +207,6 @@ TEST_F(CacheCrashTest, CrashedCompactionIsResumable) {
   auto final_pass = PipelineCache::CompactDir(dir_.string(), {});
   ASSERT_TRUE(final_pass.ok()) << final_pass.status().ToString();
   EXPECT_TRUE(final_pass->ran);
-}
-
-TEST_F(CacheCrashTest, StolenLeaseRecordIsAbsorbed) {
-  // kLeaseSteal swaps the shard lease record for a dead foreign
-  // holder's mid-store. The store itself must still succeed, and the
-  // next opener treats the record as a stale lease, not an error.
-  ASSERT_TRUE(
-      FaultInjector::Global().Configure("lease_steal=1,seed=6"));
-  std::vector<std::string> golden = Analyze();
-  ASSERT_FALSE(golden.empty());
-  FaultInjector::Global().Configure("");
-  PipelineCacheStats stats;
-  std::vector<std::string> warm = Analyze(&stats);
-  EXPECT_EQ(warm, golden);
-  EXPECT_GE(stats.stale_leases_recovered, 1u);
 }
 
 }  // namespace

@@ -1,19 +1,22 @@
-// Disk-tier robustness: no corruption of an on-disk cache entry may
-// crash the process or change a verdict — a damaged entry is always a
-// clean miss that the analyzer recomputes (and self-heals by unlink).
-// Faults are injected two ways: physically (truncating / bit-flipping /
-// zero-filling the .hsv files on disk) and through the deterministic
-// FaultInjector wrapping every disk syscall.
+// Disk-tier robustness: no corruption of an on-disk cache log may
+// crash the process or change a verdict — a damaged record is always a
+// clean miss that the analyzer recomputes (and the next store
+// supersedes or, for a torn tail, truncates). Faults are injected two
+// ways: physically (truncating / bit-flipping / zero-filling the .hsl
+// logs on disk) and through the deterministic FaultInjector wrapping
+// every disk syscall.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -61,7 +64,7 @@ class CacheFaultTest : public ::testing::Test {
 
   /// Analyzes with a fresh disk-backed cache and returns the rendered
   /// verdicts (safety + explanation per position, in query order).
-  std::vector<std::string> Analyze() {
+  std::vector<std::string> Analyze(PipelineCacheStats* stats_out = nullptr) {
     PipelineCache::Options copts;
     copts.dir = dir_.string();
     copts.retry_backoff_us = 0;  // keep injected-retry tests fast
@@ -78,14 +81,18 @@ class CacheFaultTest : public ::testing::Test {
                              a.explanation));
       }
     }
+    if (stats_out != nullptr) *stats_out = cache.stats();
     return out;
   }
 
-  std::vector<fs::path> EntryFiles() const {
+  /// The shard logs holding at least one byte.
+  std::vector<fs::path> LogFiles() const {
     std::vector<fs::path> files;
     if (!fs::exists(dir_)) return files;
-    for (const auto& e : fs::recursive_directory_iterator(dir_)) {
-      if (e.path().extension() == ".hsv") files.push_back(e.path());
+    for (const auto& e : fs::directory_iterator(dir_)) {
+      if (e.path().extension() == ".hsl" && e.file_size() > 0) {
+        files.push_back(e.path());
+      }
     }
     return files;
   }
@@ -98,13 +105,13 @@ class CacheFaultTest : public ::testing::Test {
 TEST_F(CacheFaultTest, RandomizedCorruptionAlwaysCleanMissNeverWrongVerdict) {
   std::vector<std::string> golden = Analyze();  // cold run populates disk
   ASSERT_FALSE(golden.empty());
-  ASSERT_FALSE(EntryFiles().empty());
+  ASSERT_FALSE(LogFiles().empty());
 
   Rng rng(0xfa5742);
   for (int round = 0; round < 30; ++round) {
-    // Re-populate, then damage every entry file a random way.
+    // Re-populate, then damage every log a random way.
     Analyze();
-    std::vector<fs::path> files = EntryFiles();
+    std::vector<fs::path> files = LogFiles();
     ASSERT_FALSE(files.empty());
     for (const fs::path& f : files) {
       uint64_t size = fs::file_size(f);
@@ -137,7 +144,7 @@ TEST_F(CacheFaultTest, RandomizedCorruptionAlwaysCleanMissNeverWrongVerdict) {
         }
       }
     }
-    // Every damaged entry must read as a miss and the verdicts must be
+    // Every damaged record must read as a miss and the verdicts must be
     // bit-identical to the cold run — never a crash, never a wrong or
     // missing verdict.
     std::vector<std::string> warm = Analyze();
@@ -145,18 +152,25 @@ TEST_F(CacheFaultTest, RandomizedCorruptionAlwaysCleanMissNeverWrongVerdict) {
   }
 }
 
-TEST_F(CacheFaultTest, CorruptEntriesSelfHealByUnlink) {
+TEST_F(CacheFaultTest, ZeroFilledLogSelfHealsOnTheNextStore) {
   Analyze();
-  std::vector<fs::path> files = EntryFiles();
+  std::vector<fs::path> files = LogFiles();
   ASSERT_FALSE(files.empty());
-  // Zero-fill one entry; the next lookup must unlink it...
+  // Zero-fill one log: no record survives, and the next store to it
+  // truncates the zeros as a torn tail before appending...
+  uint64_t size = fs::file_size(files[0]);
   std::ofstream(files[0], std::ios::binary | std::ios::trunc)
-      << std::string(16, '\0');
-  Analyze();
-  // ...and the store after the miss must have rewritten a valid entry.
-  EXPECT_EQ(EntryFiles().size(), files.size());
-  std::vector<std::string> healed = Analyze();
-  EXPECT_FALSE(healed.empty());
+      << std::string(size, '\0');
+  PipelineCacheStats healing;
+  Analyze(&healing);
+  EXPECT_GE(healing.torn_tails_repaired, 1u);
+  // ...so a third run is served entirely from valid records.
+  EXPECT_EQ(LogFiles().size(), files.size());
+  PipelineCacheStats healed;
+  std::vector<std::string> verdicts = Analyze(&healed);
+  EXPECT_FALSE(verdicts.empty());
+  EXPECT_EQ(healed.disk_corrupt, 0u);
+  EXPECT_EQ(healed.torn_tails_repaired, 0u);
 }
 
 TEST_F(CacheFaultTest, InjectedFaultsNeverChangeVerdicts) {
@@ -164,7 +178,7 @@ TEST_F(CacheFaultTest, InjectedFaultsNeverChangeVerdicts) {
 
   // Hammer every failure mode at once, deterministically.
   ASSERT_TRUE(FaultInjector::Global().Configure(
-      "read_error=0.3,write_error=0.2,short_write=0.2,torn_rename=0.3,"
+      "read_error=0.3,write_error=0.2,short_write=0.2,torn_append=0.3,"
       "bit_flip=0.3,enospc=0.2,seed=1234"));
   for (int round = 0; round < 10; ++round) {
     std::vector<std::string> faulted = Analyze();
@@ -179,80 +193,41 @@ TEST_F(CacheFaultTest, EnospcIsANonFatalSkip) {
   ASSERT_TRUE(FaultInjector::Global().Configure("enospc=1,seed=5"));
   std::vector<std::string> verdicts = Analyze();
   EXPECT_FALSE(verdicts.empty());
-  // Every store was skipped: the disk tier holds no entries, but the
+  // Every store was skipped: the disk tier holds no records, but the
   // analysis succeeded from memory.
-  EXPECT_TRUE(EntryFiles().empty());
+  EXPECT_TRUE(LogFiles().empty());
   FaultInjector::Global().Configure("");
 }
 
-TEST_F(CacheFaultTest, StaleTmpFilesAreSweptOnOpen) {
-  // Abandoned tmp files in the legacy flat root and inside a shard both
-  // get swept once past the grace window (0 here = immediately).
-  fs::path shard = dir_ / "shard-0";
-  fs::create_directories(shard);
-  std::ofstream(dir_ / "deadbeef.hsv.tmp.12345") << "partial write";
-  std::ofstream(shard / "cafe.hsv.tmp.99.0") << "x";
+TEST_F(CacheFaultTest, StoreWaitsForAShardLockHeldElsewhere) {
+  // Another process (here: another lock description) holding a shard
+  // lock delays a store into that shard; it never interleaves with it.
+  CacheKey key{4242, 0x37};  // shard 7
+  CachedVerdict v;
+  v.verdict = Safety::kSafe;
+  v.explanation = "lock probe";
   PipelineCache::Options copts;
   copts.dir = dir_.string();
-  copts.tmp_grace_seconds = 0;
   PipelineCache cache(copts);
-  EXPECT_EQ(cache.stats().tmp_files_swept, 2u);
-  EXPECT_TRUE(EntryFiles().empty());
-  EXPECT_FALSE(fs::exists(dir_ / "deadbeef.hsv.tmp.12345"));
-  EXPECT_FALSE(fs::exists(shard / "cafe.hsv.tmp.99.0"));
-}
-
-TEST_F(CacheFaultTest, FreshTmpFilesSurviveTheGraceWindow) {
-  // A live writer's seconds-old tmp file must NOT be swept by a
-  // concurrent opener (satellite S2): under the default grace window a
-  // fresh tmp survives, and only a backdated one is reclaimed.
-  fs::path shard = dir_ / "shard-7";
-  fs::create_directories(shard);
-  fs::path fresh = shard / "11.hsv.tmp.42.0";
-  fs::path stale = shard / "22.hsv.tmp.43.0";
-  std::ofstream(fresh) << "in flight";
-  std::ofstream(stale) << "abandoned";
-  fs::last_write_time(
-      stale, fs::file_time_type::clock::now() - std::chrono::hours(2));
-  PipelineCache::Options copts;
-  copts.dir = dir_.string();  // default tmp_grace_seconds = 60
-  PipelineCache cache(copts);
-  EXPECT_EQ(cache.stats().tmp_files_swept, 1u);
-  EXPECT_TRUE(fs::exists(fresh));
-  EXPECT_FALSE(fs::exists(stale));
-}
-
-TEST_F(CacheFaultTest, BusyShardsAreSkippedByTheOpenSweep) {
-  // The other S2 guard: an opener never sweeps a shard whose write
-  // lease is held — even a backdated tmp file survives there.
-  fs::path shard = dir_ / "shard-3";
-  fs::create_directories(shard);
-  fs::path tmp = shard / "33.hsv.tmp.44.0";
-  std::ofstream(tmp) << "writer still alive";
-  fs::last_write_time(
-      tmp, fs::file_time_type::clock::now() - std::chrono::hours(2));
-  auto lease = FileLock::TryAcquire((shard / ".lease").string());
-  ASSERT_TRUE(lease.ok() && lease->held());
-  ASSERT_TRUE(lease->WriteRecord(FormatLeaseRecord(::getpid(), BootId())));
-  PipelineCache::Options copts;
-  copts.dir = dir_.string();
-  copts.tmp_grace_seconds = 0;
-  PipelineCache cache(copts);
-  EXPECT_EQ(cache.stats().tmp_files_swept, 0u);
-  EXPECT_EQ(cache.stats().stale_leases_recovered, 0u);
-  EXPECT_TRUE(fs::exists(tmp));
-  lease->Release();
-  // Once the writer is gone (lease free, record left by a crash from a
-  // dead boot), the next open recovers the shard and sweeps.
-  {
-    auto relock = FileLock::TryAcquire((shard / ".lease").string());
-    ASSERT_TRUE(relock.ok() && relock->held());
-    ASSERT_TRUE(relock->WriteRecord(FormatLeaseRecord(1, "some-other-boot")));
-  }
-  PipelineCache second(copts);
-  EXPECT_EQ(second.stats().stale_leases_recovered, 1u);
-  EXPECT_EQ(second.stats().tmp_files_swept, 1u);
-  EXPECT_FALSE(fs::exists(tmp));
+  fs::path log = PipelineCache::LogPath(dir_.string(), key);
+  std::string lock_path = log.string();
+  lock_path.replace(lock_path.size() - 4, 4, ".lock");
+  auto held = FileLock::Acquire(lock_path);
+  ASSERT_TRUE(held.ok() && held->held());
+  std::atomic<bool> stored{false};
+  std::thread writer([&] {
+    cache.Store(key, v);
+    stored.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stored.load());
+  EXPECT_FALSE(fs::exists(log) && fs::file_size(log) > 0);
+  held->Release();
+  writer.join();
+  EXPECT_TRUE(stored.load());
+  PipelineCache reader(copts);
+  EXPECT_TRUE(reader.Lookup(key).has_value());
+  EXPECT_EQ(cache.stats().lease_acquisitions, 1u);
 }
 
 TEST_F(CacheFaultTest, InjectedFaultCounterParity) {
@@ -313,7 +288,7 @@ TEST_F(CacheFaultTest, InjectedFaultCounterParity) {
             0u);
 
   // ENOSPC: the S1 regression — every injection lands in
-  // disk_write_skips no matter which syscall (open/fsync/rename) it
+  // disk_write_skips no matter which syscall (write/fdatasync) it
   // strikes, never in disk_write_failures.
   stats_with("enospc=1,seed=7", &n, FaultKind::kEnospc);
   EXPECT_EQ(last_stats_.disk_write_skips, static_cast<uint64_t>(n));
@@ -322,11 +297,10 @@ TEST_F(CacheFaultTest, InjectedFaultCounterParity) {
             0u);
 }
 
-TEST_F(CacheFaultTest, TornRenameSurfacesAsCorruptOrMissOnRead) {
-  // torn_rename damages the entry at WRITE time (truncated payload
-  // behind a "successful" rename); the wrap point that observes it is
-  // the next fresh-instance read, which counts disk_corrupt (and
-  // self-heals) — or disk_misses when the tear left nothing behind.
+TEST_F(CacheFaultTest, TornAppendIsNeverServedAndIsRepairedByTheNextStore) {
+  // torn_append damages the log at WRITE time (a record prefix the
+  // writer believes complete); no reader serves it — a plain miss —
+  // and the next store to the shard truncates it.
   fs::remove_all(dir_);
   PipelineCache::Options copts;
   copts.dir = dir_.string();
@@ -336,7 +310,7 @@ TEST_F(CacheFaultTest, TornRenameSurfacesAsCorruptOrMissOnRead) {
   CachedVerdict v;
   v.verdict = Safety::kSafe;
   v.explanation = "corruption probe";
-  ASSERT_TRUE(FaultInjector::Global().Configure("torn_rename=1,seed=3"));
+  ASSERT_TRUE(FaultInjector::Global().Configure("torn_append=1,seed=3"));
   {
     PipelineCache writer(copts);
     writer.Store(key, v);
@@ -345,9 +319,16 @@ TEST_F(CacheFaultTest, TornRenameSurfacesAsCorruptOrMissOnRead) {
     EXPECT_EQ(writer.stats().disk_write_skips, 0u);
   }
   FaultInjector::Global().Configure("");
+  fs::path log = PipelineCache::LogPath(dir_.string(), key);
+  const bool left_bytes = fs::file_size(log) > 0;
   PipelineCache reader(copts);
   EXPECT_FALSE(reader.Lookup(key).has_value());
-  EXPECT_EQ(reader.stats().disk_corrupt + reader.stats().disk_misses, 1u);
+  EXPECT_EQ(reader.stats().disk_misses, 1u);
+  EXPECT_EQ(reader.stats().disk_corrupt, 0u);
+  reader.Store(key, v);
+  EXPECT_EQ(reader.stats().torn_tails_repaired, left_bytes ? 1u : 0u);
+  PipelineCache after(copts);
+  EXPECT_TRUE(after.Lookup(key).has_value());
 }
 
 TEST_F(CacheFaultTest, BitFlipSurfacesAsCorruptAtTheReadPoint) {

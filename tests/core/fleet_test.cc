@@ -182,6 +182,11 @@ TEST_F(FleetTest, JsonReportHasTheDocumentedShape) {
   EXPECT_TRUE(j["cache"].Has("cross_program_hits"));
   EXPECT_TRUE(j["cache"].Has("verdict_hit_rate"));
   EXPECT_TRUE(j["cache"].Has("disk_hits"));
+  EXPECT_TRUE(j["cache"].Has("torn_tails_repaired"));
+  // A cold run over a shared dir stores every cacheable verdict once.
+  EXPECT_GT(j["cache"]["disk_stores"].AsInt(0), 0);
+  EXPECT_EQ(static_cast<uint64_t>(j["cache"]["disk_stores"].AsInt(0)),
+            report->disk_stores);
   ASSERT_TRUE(j.Has("faults"));
   EXPECT_EQ(j["faults"]["worker_crashes"].AsInt(-1), 0);
   ASSERT_TRUE(j.Has("compaction"));

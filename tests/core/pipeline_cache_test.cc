@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "core/analyzer.h"
 #include "parser/parser.h"
@@ -107,69 +108,91 @@ TEST(PipelineCacheTest, DiskRoundtripAcrossInstances) {
   EXPECT_EQ(reader.stats().verdict_hits, 2u);
 }
 
-TEST(PipelineCacheTest, CorruptEntryIsAMissAndIsDeleted) {
+TEST(PipelineCacheTest, CorruptRecordIsAMissAndIsSuperseded) {
   TempDir dir("corrupt");
   PipelineCache::Options opts;
   opts.dir = dir.str();
-  fs::path entry;
   {
     PipelineCache writer(opts);
     writer.Store(Key(7), SafeVerdict(9));
-    entry = PipelineCache::EntryPath(dir.str(), Key(7));
-    ASSERT_TRUE(fs::exists(entry));
-    // Flip a payload byte: the checksum must catch it.
-    std::fstream f(entry,
-                   std::ios::in | std::ios::out | std::ios::binary);
+    fs::path log = PipelineCache::LogPath(dir.str(), Key(7));
+    ASSERT_TRUE(fs::exists(log));
+    // Flip a key byte: the record checksum must catch it.
+    std::fstream f(log, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(20);
     f.put('\xff');
   }
   PipelineCache reader(opts);
   EXPECT_FALSE(reader.Lookup(Key(7)).has_value());
   EXPECT_EQ(reader.stats().disk_corrupt, 1u);
-  // The bad file was dropped so it is not re-parsed forever.
-  EXPECT_FALSE(fs::exists(entry));
-  // And the slot is usable again.
+  // The next store of the key appends a record that supersedes it.
   reader.Store(Key(7), SafeVerdict(9));
   PipelineCache reader2(opts);
-  EXPECT_TRUE(reader2.Lookup(Key(7)).has_value());
+  auto hit = reader2.Lookup(Key(7));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->steps, 9u);
 }
 
-TEST(PipelineCacheTest, TruncatedAndGarbageEntriesAreMisses) {
+TEST(PipelineCacheTest, TruncatedAndGarbageLogsAreMissesAndGetRepaired) {
   TempDir dir("garbage");
   PipelineCache::Options opts;
   opts.dir = dir.str();
   fs::create_directories(dir.path);
-  auto write_file = [&](const CacheKey& key, const std::string& bytes) {
-    fs::path entry = PipelineCache::EntryPath(dir.str(), key);
-    fs::create_directories(entry.parent_path());
-    std::ofstream f(entry, std::ios::binary);
+  auto write_log = [&](const CacheKey& key, const std::string& bytes) {
+    std::ofstream f(PipelineCache::LogPath(dir.str(), key), std::ios::binary);
     f << bytes;
   };
-  write_file(Key(1), "");                          // empty
-  write_file(Key(2), "HSVC");                      // truncated header
-  write_file(Key(3), std::string(64, 'x'));        // wrong magic
+  write_log(Key(1), "");                    // empty
+  write_log(Key(2), "HSLR");                // truncated header
+  write_log(Key(3), std::string(64, 'x'));  // wrong magic
   PipelineCache cache(opts);
-  EXPECT_FALSE(cache.Lookup(Key(1)).has_value());
-  EXPECT_FALSE(cache.Lookup(Key(2)).has_value());
-  EXPECT_FALSE(cache.Lookup(Key(3)).has_value());
-  EXPECT_EQ(cache.stats().disk_corrupt, 3u);
+  for (uint64_t i = 1; i <= 3; ++i) {
+    EXPECT_FALSE(cache.Lookup(Key(i)).has_value());
+  }
+  EXPECT_EQ(cache.stats().disk_misses, 3u);
+  // Bytes that hold no record are a tail the next store truncates.
+  for (uint64_t i = 1; i <= 3; ++i) cache.Store(Key(i), SafeVerdict(i));
+  EXPECT_EQ(cache.stats().torn_tails_repaired, 2u);
+  PipelineCache reader(opts);
+  for (uint64_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(reader.Lookup(Key(i)).has_value());
+  }
+  EXPECT_EQ(reader.stats().disk_corrupt, 0u);
+}
+
+/// FNV-1a, as the log records use it.
+uint64_t Fnv(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 TEST(PipelineCacheTest, VersionMismatchIsAMiss) {
   TempDir dir("version");
   PipelineCache::Options opts;
   opts.dir = dir.str();
-  fs::path entry;
+  fs::path log = PipelineCache::LogPath(dir.str(), Key(5));
   {
     PipelineCache writer(opts);
     writer.Store(Key(5), SafeVerdict(9));
-    entry = PipelineCache::EntryPath(dir.str(), Key(5));
-    // Bump the on-disk format version field (bytes 4..7, after magic).
-    std::fstream f(entry,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(4);
-    f.put(static_cast<char>(PipelineCache::kDiskFormatVersion + 1));
   }
+  // Bump the format version (bytes 8..11, after magic and length) and
+  // re-seal the checksum, so only the version check can reject it.
+  std::string bytes;
+  {
+    std::ifstream in(log, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 16u);
+  bytes[8] = static_cast<char>(PipelineCache::kDiskFormatVersion + 1);
+  uint64_t sum = Fnv(bytes.substr(4, bytes.size() - 12));
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+  }
+  std::ofstream(log, std::ios::binary | std::ios::trunc) << bytes;
   PipelineCache reader(opts);
   EXPECT_FALSE(reader.Lookup(Key(5)).has_value());
   EXPECT_EQ(reader.stats().disk_corrupt, 1u);
@@ -177,29 +200,7 @@ TEST(PipelineCacheTest, VersionMismatchIsAMiss) {
 
 TEST(PipelineCacheTest, ShardLayoutIsKeyedByLowBits) {
   CacheKey k{0xabc, 0x123};  // lo & 0xf == 3
-  EXPECT_EQ(PipelineCache::ShardDirOf("/d", k), "/d/shard-3");
-  EXPECT_EQ(PipelineCache::EntryPath("/d", k),
-            "/d/shard-3/" + k.ToHex() + ".hsv");
-}
-
-TEST(PipelineCacheTest, LegacyFlatEntriesAreMigratedOnOpen) {
-  TempDir dir("legacy");
-  PipelineCache::Options opts;
-  opts.dir = dir.str();
-  {
-    PipelineCache writer(opts);
-    writer.Store(Key(9), SafeVerdict(77));
-  }
-  // Simulate a pre-shard cache: move the entry up to the flat root.
-  fs::path sharded = PipelineCache::EntryPath(dir.str(), Key(9));
-  fs::path flat = fs::path(dir.str()) / (Key(9).ToHex() + ".hsv");
-  fs::rename(sharded, flat);
-  PipelineCache reader(opts);
-  EXPECT_EQ(reader.stats().legacy_entries_migrated, 1u);
-  EXPECT_FALSE(fs::exists(flat));
-  auto hit = reader.Lookup(Key(9));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->steps, 77u);
+  EXPECT_EQ(PipelineCache::LogPath("/d", k), "/d/shard-3.hsl");
 }
 
 TEST(PipelineCacheTest, ManifestIsCreatedAndCorruptionRollsBack) {
@@ -229,40 +230,41 @@ TEST(PipelineCacheTest, CompactionEnforcesSizeAndAgeBounds) {
   PipelineCache cache(opts);
   for (uint64_t i = 0; i < 32; ++i) cache.Store(Key(i), SafeVerdict(i));
   uint64_t gen0 = cache.stats().manifest_generation;
+  auto log_bytes = [&] {
+    uint64_t total = 0;
+    for (const auto& e : fs::directory_iterator(dir.path)) {
+      if (e.path().extension() == ".hsl") total += e.file_size();
+    }
+    return total;
+  };
 
   // Unbounded pass: a no-op apart from the generation bump.
   auto noop = cache.Compact({});
   ASSERT_TRUE(noop.ok()) << noop.status().ToString();
   EXPECT_TRUE(noop->ran);
+  EXPECT_EQ(noop->entries_scanned, 32u);
   EXPECT_EQ(noop->entries_removed, 0u);
   EXPECT_EQ(noop->generation, gen0 + 1);
 
-  // Size bound: shrink to ~4 entries' worth of bytes.
-  uint64_t entry_bytes =
-      fs::file_size(PipelineCache::EntryPath(dir.str(), Key(0)));
+  // Size bound: shrink to ~4 entries' worth of bytes (records are all
+  // the same length here).
+  uint64_t entry_bytes = log_bytes() / 32;
   auto sized = cache.Compact({.max_bytes = 4 * entry_bytes});
   ASSERT_TRUE(sized.ok()) << sized.status().ToString();
   EXPECT_TRUE(sized->ran);
-  EXPECT_GE(sized->entries_removed, 28u);
-  EXPECT_GT(sized->bytes_removed, 0u);
+  EXPECT_EQ(sized->entries_removed, 28u);
+  EXPECT_EQ(sized->bytes_removed, 28 * entry_bytes);
+  EXPECT_EQ(log_bytes(), 4 * entry_bytes);
 
-  // Age bound: backdate the survivors, then expire anything older
-  // than ten seconds.
-  for (const auto& e : fs::recursive_directory_iterator(dir.path)) {
-    if (e.path().extension() == ".hsv") {
-      fs::last_write_time(
-          e.path(), fs::file_time_type::clock::now() - std::chrono::hours(1));
-    }
-  }
-  auto aged = cache.Compact({.max_age_seconds = 10});
+  // Age bound: once the survivors are older than a second, expire
+  // everything older than that.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  auto aged = cache.Compact({.max_age_seconds = 1});
   ASSERT_TRUE(aged.ok()) << aged.status().ToString();
-  uint64_t remaining = 0;
-  for (const auto& e : fs::recursive_directory_iterator(dir.path)) {
-    if (e.path().extension() == ".hsv") ++remaining;
-  }
-  EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(aged->entries_removed, 4u);
+  EXPECT_EQ(log_bytes(), 0u);
   EXPECT_EQ(cache.stats().compactions_run, 3u);
-  EXPECT_GT(cache.stats().compaction_entries_removed, 0u);
+  EXPECT_EQ(cache.stats().compaction_entries_removed, 32u);
 }
 
 TEST(PipelineCacheTest, CompactionIsSingleWriterElected) {

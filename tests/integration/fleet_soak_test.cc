@@ -147,7 +147,7 @@ TEST_F(FleetSoakTest, FaultedMultiProcessSoakMatchesSerialReplay) {
     // Seeds differ per pass so the passes hit different crash points.
     opts.fault_spec = StrCat(
         "read_error=0.03,write_error=0.02,short_write=0.01,"
-        "torn_rename=0.02,bit_flip=0.03,enospc=0.02,lease_steal=0.02,"
+        "torn_append=0.02,bit_flip=0.03,enospc=0.02,"
         "process_kill=", pass == 1 ? "0.002" : "0.012",
         ",seed=", 1000 + pass);
     auto report = RunFleet(opts);

@@ -207,7 +207,7 @@ TEST(ServeSoakTest, FaultedRunMatchesFaultFreeVerdictForVerdict) {
   // ~10% aggregate fault probability across the disk-tier syscalls.
   RunResult faulted = RunServe(
       requests, (root / "cache_faulted").string(),
-      "read_error=0.1,write_error=0.1,short_write=0.05,torn_rename=0.1,"
+      "read_error=0.1,write_error=0.1,short_write=0.05,torn_append=0.1,"
       "bit_flip=0.1,enospc=0.05,seed=20260806");
 
   // Zero crashes: both processes exited the serve loop cleanly.
@@ -249,7 +249,7 @@ TEST(ServeSoakTest, MultiWorkerSoakMatchesSerialReplay) {
       RunServe(requests, (root / "cache_serial").string(), "");
   RunResult parallel = RunServe(
       requests, (root / "cache_parallel").string(),
-      "read_error=0.1,write_error=0.1,short_write=0.05,torn_rename=0.1,"
+      "read_error=0.1,write_error=0.1,short_write=0.05,torn_append=0.1,"
       "bit_flip=0.1,enospc=0.05,seed=20260808",
       "--workers 4");
 

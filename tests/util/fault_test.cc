@@ -95,7 +95,7 @@ TEST(FaultInjectorTest, CorruptOneBitChangesExactlyOneBit) {
 
 TEST(FaultInjectorTest, TornLengthIsStrictPrefix) {
   FaultInjector inj;
-  ASSERT_TRUE(inj.Configure("torn_rename=1,seed=9"));
+  ASSERT_TRUE(inj.Configure("torn_append=1,seed=9"));
   for (int i = 0; i < 100; ++i) {
     size_t len = inj.TornLength(100);
     EXPECT_LT(len, 100u);
@@ -117,10 +117,9 @@ TEST(FaultInjectorTest, CountersTrackDecisionsAndReset) {
 
 TEST(FaultKindTest, NamesMatchSpecKeys) {
   EXPECT_STREQ(FaultKindName(FaultKind::kReadError), "read_error");
-  EXPECT_STREQ(FaultKindName(FaultKind::kTornRename), "torn_rename");
+  EXPECT_STREQ(FaultKindName(FaultKind::kTornAppend), "torn_append");
   EXPECT_STREQ(FaultKindName(FaultKind::kEnospc), "enospc");
   EXPECT_STREQ(FaultKindName(FaultKind::kProcessKill), "process_kill");
-  EXPECT_STREQ(FaultKindName(FaultKind::kLeaseSteal), "lease_steal");
 }
 
 TEST(FaultKindTest, EveryKindRoundTripsThroughConfigure) {
@@ -144,7 +143,7 @@ TEST(FaultInjectorTest, ZeroProbabilityKindsConsumeNoRandomDraw) {
     for (int i = 0; i < 100; ++i) {
       if (interleave_disabled) {
         inj.ShouldInject(FaultKind::kProcessKill);  // prob 0: no draw
-        inj.ShouldInject(FaultKind::kLeaseSteal);
+        inj.ShouldInject(FaultKind::kTornAppend);
       }
       bits += inj.ShouldInject(FaultKind::kBitFlip) ? '1' : '0';
     }

@@ -65,7 +65,6 @@ TEST(FileLockTest, KernelReleasesLockWhenHolderDies) {
   if (pid == 0) {
     auto lock = FileLock::Acquire(path);
     if (!lock.ok() || !lock->held()) _exit(2);
-    lock->WriteRecord(FormatLeaseRecord(::getpid(), BootId()));
     // Signal readiness via a side file, then hang until killed.
     std::ofstream(dir.file("ready")) << "1";
     for (;;) pause();
@@ -83,69 +82,6 @@ TEST(FileLockTest, KernelReleasesLockWhenHolderDies) {
   auto after = FileLock::TryAcquire(path);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->held());
-  // The dead child's record survives as crash evidence — and is stale.
-  EXPECT_TRUE(LeaseRecordStale(after->ReadRecord()));
-}
-
-TEST(FileLockTest, WriteRecordTruncatesAndReadsBack) {
-  TempDir dir;
-  auto lock = FileLock::Acquire(dir.file("r.lock"));
-  ASSERT_TRUE(lock.ok());
-  EXPECT_TRUE(lock->WriteRecord("a long record that will be replaced\n"));
-  EXPECT_TRUE(lock->WriteRecord("short\n"));
-  EXPECT_EQ(lock->ReadRecord(), "short\n");
-  EXPECT_EQ(ReadLockRecord(dir.file("r.lock")), "short\n");
-  EXPECT_TRUE(lock->WriteRecord(""));
-  EXPECT_EQ(lock->ReadRecord(), "");
-}
-
-TEST(LeaseRecordTest, FormatParseRoundtrip) {
-  std::string record = FormatLeaseRecord(4242, "boot-xyz");
-  pid_t pid = 0;
-  std::string boot;
-  ASSERT_TRUE(ParseLeaseRecord(record, &pid, &boot));
-  EXPECT_EQ(pid, 4242);
-  EXPECT_EQ(boot, "boot-xyz");
-  EXPECT_FALSE(ParseLeaseRecord("", &pid, &boot));
-  EXPECT_FALSE(ParseLeaseRecord("pid x boot y", &pid, &boot));
-  EXPECT_FALSE(ParseLeaseRecord("garbage", &pid, &boot));
-}
-
-TEST(LeaseRecordTest, StalenessRules) {
-  // Empty: nothing claimed, not stale.
-  EXPECT_FALSE(LeaseRecordStale(""));
-  // Malformed: claimed but unintelligible — stale.
-  EXPECT_TRUE(LeaseRecordStale("scribble"));
-  // Our own live pid on this boot: not stale.
-  EXPECT_FALSE(LeaseRecordStale(FormatLeaseRecord(::getpid(), BootId())));
-  // A live pid from a different boot: stale (pids don't survive boots).
-  EXPECT_TRUE(
-      LeaseRecordStale(FormatLeaseRecord(::getpid(), "some-other-boot")));
-  // A dead pid on this boot: stale. Reap a child first so its pid is
-  // known-dead (modulo recycling, which only makes the test lenient).
-  pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) _exit(0);
-  auto reaped = WaitProcess(child);
-  ASSERT_TRUE(reaped.ok());
-  EXPECT_TRUE(LeaseRecordStale(FormatLeaseRecord(child, BootId())));
-}
-
-TEST(BootIdTest, StableNonEmpty) {
-  EXPECT_FALSE(BootId().empty());
-  EXPECT_EQ(BootId(), BootId());
-}
-
-TEST(ProcessAliveTest, SelfAliveReapedChildDead) {
-  EXPECT_TRUE(ProcessAlive(::getpid()));
-  pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) _exit(0);
-  auto reaped = WaitProcess(child);
-  ASSERT_TRUE(reaped.ok());
-  EXPECT_TRUE(reaped->exited);
-  EXPECT_EQ(reaped->exit_code, 0);
-  EXPECT_FALSE(ProcessAlive(child));
 }
 
 TEST(SpawnTest, RunsArgvAndCapturesExitCode) {
