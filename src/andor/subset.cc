@@ -90,6 +90,73 @@ std::string AndGraph::ToDot(const AndOrSystem& system,
   return out;
 }
 
+void ChosenScc::Start(const AndOrSystem& system, const uint32_t* rule_of,
+                      bool skip_f) {
+  const size_t n = system.nodes().size();
+  if (index_.size() != n) {
+    index_.assign(n, -1);
+    low_.assign(n, 0);
+    comp_.assign(n, -1);
+  } else {
+    // Only the previous run's visits are stale.
+    for (NodeId v : order_) index_[v] = -1;
+  }
+  order_.clear();
+  comp_begin_.assign(1, 0);
+  next_index_ = 0;
+  system_ = &system;
+  rule_of_ = rule_of;
+  skip_f_ = skip_f;
+}
+
+bool ChosenScc::InSubgraph(NodeId n) const {
+  return rule_of_[n] != kNoRule && !(skip_f_ && system_->node(n).is_f_node);
+}
+
+int32_t ChosenScc::Visit(NodeId from) {
+  if (!InSubgraph(from)) return -1;
+  if (index_[from] >= 0) return comp_[from];
+  auto enter = [&](NodeId v) {
+    index_[v] = low_[v] = next_index_++;
+    comp_[v] = -1;
+    stack_.push_back(v);
+    frames_.emplace_back(v, 0);
+  };
+  enter(from);
+  while (!frames_.empty()) {
+    auto& [v, next] = frames_.back();
+    const std::vector<NodeId>& body = system_->rule(rule_of_[v]).body;
+    if (next < body.size()) {
+      NodeId w = body[next++];
+      if (!InSubgraph(w)) continue;
+      if (index_[w] < 0) {
+        enter(w);
+      } else if (comp_[w] < 0) {  // on the stack
+        low_[v] = std::min(low_[v], index_[w]);
+      }
+      continue;
+    }
+    const NodeId done = v;
+    frames_.pop_back();
+    if (!frames_.empty()) {
+      NodeId parent = frames_.back().first;
+      low_[parent] = std::min(low_[parent], low_[done]);
+    }
+    if (low_[done] == index_[done]) {
+      const int32_t c = num_components();
+      NodeId w;
+      do {
+        w = stack_.back();
+        stack_.pop_back();
+        comp_[w] = c;
+        order_.push_back(w);
+      } while (w != done);
+      comp_begin_.push_back(static_cast<uint32_t>(order_.size()));
+    }
+  }
+  return comp_[from];
+}
+
 namespace {
 
 bool IsTerminalNode(const AndOrSystem& system, NodeId n) {
@@ -97,97 +164,17 @@ bool IsTerminalNode(const AndOrSystem& system, NodeId n) {
   return k == PropNodeKind::kZero || k == PropNodeKind::kOne;
 }
 
-/// Tarjan SCC over the chosen subgraph restricted to non-f-nodes.
-/// Returns component ids; f-nodes get component -1.
-class FFreeScc {
- public:
-  FFreeScc(const AndOrSystem& system,
-           const std::unordered_map<NodeId, uint32_t>& chosen)
-      : system_(system), chosen_(chosen) {}
-
-  /// node -> SCC id for non-f chosen nodes.
-  std::unordered_map<NodeId, int> Run() {
-    for (const auto& [node, rule] : chosen_) {
-      if (Skip(node)) continue;
-      if (index_.find(node) == index_.end()) Strongconnect(node);
-    }
-    return comp_;
-  }
-
- private:
-  bool Skip(NodeId n) const {
-    const PropNode& pn = system_.node(n);
-    if (pn.is_f_node) return true;
-    return chosen_.find(n) == chosen_.end();
-  }
-
-  void Strongconnect(NodeId v) {
-    index_[v] = next_index_;
-    low_[v] = next_index_;
-    ++next_index_;
-    stack_.push_back(v);
-    on_stack_.insert(v);
-
-    auto it = chosen_.find(v);
-    if (it != chosen_.end()) {
-      const PropRule& r = system_.rule(it->second);
-      for (NodeId w : r.body) {
-        const PropNode& wn = system_.node(w);
-        if (wn.kind == PropNodeKind::kZero ||
-            wn.kind == PropNodeKind::kOne || wn.is_f_node) {
-          continue;
-        }
-        if (chosen_.find(w) == chosen_.end()) continue;
-        if (index_.find(w) == index_.end()) {
-          Strongconnect(w);
-          low_[v] = std::min(low_[v], low_[w]);
-        } else if (on_stack_.count(w)) {
-          low_[v] = std::min(low_[v], index_[w]);
-        }
-      }
-    }
-
-    if (low_[v] == index_[v]) {
-      while (true) {
-        NodeId w = stack_.back();
-        stack_.pop_back();
-        on_stack_.erase(w);
-        comp_[w] = num_components_;
-        if (w == v) break;
-      }
-      ++num_components_;
-    }
-  }
-
-  const AndOrSystem& system_;
-  const std::unordered_map<NodeId, uint32_t>& chosen_;
-  std::unordered_map<NodeId, int> index_;
-  std::unordered_map<NodeId, int> low_;
-  std::unordered_map<NodeId, int> comp_;
-  std::vector<NodeId> stack_;
-  std::unordered_set<NodeId> on_stack_;
-  int next_index_ = 0;
-  int num_components_ = 0;
-};
-
-/// True iff the chosen subgraph contains a cycle through a forward edge
-/// (head-argument -> variable) with no f-node on it. Checked by
-/// computing SCCs of the subgraph minus f-nodes: a forward edge inside
-/// one SCC closes such a cycle.
-bool HasFFreeForwardCycleIn(
-    const AndOrSystem& system,
-    const std::unordered_map<NodeId, uint32_t>& chosen) {
-  std::unordered_map<NodeId, int> comp = FFreeScc(system, chosen).Run();
-  for (const auto& [node, rule_idx] : chosen) {
-    const PropNode& head = system.node(node);
-    if (head.kind != PropNodeKind::kHeadArg) continue;
-    const PropRule& r = system.rule(rule_idx);
-    for (NodeId b : r.body) {
-      if (system.node(b).kind != PropNodeKind::kVariable) continue;
-      auto cu = comp.find(node);
-      auto cv = comp.find(b);
-      if (cu != comp.end() && cv != comp.end() &&
-          cu->second == cv->second) {
+/// True iff component `c` of `cycles`' current f-free run contains a
+/// forward edge (head argument -> variable): with both ends in one
+/// component of the f-node-free chosen subgraph, that edge closes an
+/// f-node-free forward cycle.
+bool HasForwardEdgeIn(const AndOrSystem& system, const uint32_t* rule_of,
+                      const ChosenScc& cycles, int32_t c) {
+  for (NodeId u : cycles.Members(c)) {
+    if (system.node(u).kind != PropNodeKind::kHeadArg) continue;
+    for (NodeId b : system.rule(rule_of[u]).body) {
+      if (system.node(b).kind == PropNodeKind::kVariable &&
+          cycles.comp(b) == c) {
         return true;
       }
     }
@@ -268,16 +255,18 @@ class SubsetSearch {
 
     memo_mode_ = opts_.use_memo && scc_ != nullptr && !has_escape &&
                  scc_->has_reach_sets();
+    rule_of_.assign(system_.nodes().size(), kNoRule);
     Fragment top;
     top.root = root_;
     top.worklist.push_back(root_);
     bool found = false;
     if (memo_mode_) {
+      memo_.assign(system_.nodes().size(), kUnsolved);
       active_count_.assign(scc_->num_sccs(), 0);
       active_bits_.assign(scc_->reach_blocks(), 0);
       found = FragmentSearch(top, 0);
       if (found && !exhausted_) {
-        for (const auto& [n, ri] : top.chosen) fragment_rule_.emplace(n, ri);
+        for (NodeId n : top.chosen) fragment_rule_.emplace(n, rule_of_[n]);
         result.witness = ExtractWitness();
       }
     } else {
@@ -285,7 +274,7 @@ class SubsetSearch {
       if (found) {
         AndGraph g;
         g.root = root_;
-        g.chosen = std::move(top.chosen);
+        for (NodeId n : top.chosen) g.chosen.emplace(n, rule_of_[n]);
         result.witness = std::move(g);
       }
     }
@@ -308,14 +297,58 @@ class SubsetSearch {
 
  private:
   /// One DFS over rule choices; the top-level search and every
-  /// delegated subproblem each own one.
+  /// delegated subproblem each own one. The chosen rules themselves live
+  /// in the search-wide `rule_of_`: the fragments active at one time
+  /// choose disjoint node sets (a delegated root reaches no active
+  /// component), and a completed fragment's entries are cleared.
   struct Fragment {
     NodeId root = kInvalidNode;
     std::vector<NodeId> worklist;
-    std::unordered_map<NodeId, uint32_t> chosen;
+    /// The nodes this fragment chose, in choice order.
+    std::vector<NodeId> chosen;
   };
 
+  /// Frontier memo entry per node: can it anchor a closed, 0-free,
+  /// cycle-free assignment?
+  enum Memo : uint8_t { kUnsolved, kAnchors, kNoAnchor };
+
   bool IsTerminal(NodeId n) const { return IsTerminalNode(system_, n); }
+  bool Chosen(NodeId n) const { return rule_of_[n] != kNoRule; }
+
+  void Choose(Fragment& f, NodeId n, uint32_t ri) {
+    rule_of_[n] = ri;
+    f.chosen.push_back(n);
+  }
+
+  /// Undoes the fragment's latest choice (choices unwind in stack order).
+  void Unchoose(Fragment& f) {
+    rule_of_[f.chosen.back()] = kNoRule;
+    f.chosen.pop_back();
+  }
+
+  /// Queues the non-terminal members of rule `ri`'s body; true iff one
+  /// of them is already chosen, i.e. the choice closed a back edge.
+  bool PushBody(Fragment& f, uint32_t ri) {
+    bool closes_back_edge = false;
+    for (NodeId b : system_.rule(ri).body) {
+      if (IsTerminal(b)) continue;
+      f.worklist.push_back(b);
+      closes_back_edge |= Chosen(b);
+    }
+    return closes_back_edge;
+  }
+
+  /// True iff choosing `n` closed an f-node-free forward cycle. The
+  /// graph before the choice had none (every choice that closes a back
+  /// edge is checked here, and a positive check prunes it), and every
+  /// edge the choice adds starts or ends at `n`, so any new cycle passes
+  /// through `n`: only n's component of the f-free chosen subgraph needs
+  /// a look. The same invariant means a complete graph never has one.
+  bool ClosesCountedCycle(NodeId n) {
+    cycles_.Start(system_, rule_of_.data(), /*skip_f=*/true);
+    int32_t c = cycles_.Visit(n);
+    return c >= 0 && HasForwardEdgeIn(system_, rule_of_.data(), cycles_, c);
+  }
 
   /// One DFS step: the exact per-step budget check plus a periodic
   /// deadline/cancellation check (every kCheckInterval steps, so the
@@ -400,61 +433,48 @@ class SubsetSearch {
     // Next unchosen non-terminal node.
     size_t i = from;
     while (i < f.worklist.size() &&
-           (IsTerminal(f.worklist[i]) || f.chosen.count(f.worklist[i]))) {
+           (IsTerminal(f.worklist[i]) || Chosen(f.worklist[i]))) {
       ++i;
     }
     if (i == f.worklist.size()) {
-      // Complete graph.
+      // Complete graph, free of f-free forward cycles by the invariant
+      // of ClosesCountedCycle: only the escape can still rescue it.
       ++graphs_checked_;
-      if (!HasFFreeForwardCycleIn(system_, f.chosen) &&
-          !(opts_.escape && EscapeAccepts(f))) {
-        *found = true;
-      }
+      if (!(opts_.escape && EscapeAccepts(f))) *found = true;
       return;
     }
     NodeId n = f.worklist[i];
     for (uint32_t ri : system_.RulesFor(n)) {
       if (!RuleUsable(ri)) continue;
-      const PropRule& r = system_.rule(ri);
-      f.chosen.emplace(n, ri);
+      Choose(f, n, ri);
       size_t mark = f.worklist.size();
-      bool closes_back_edge = false;
-      for (NodeId b : r.body) {
-        if (!IsTerminal(b)) {
-          f.worklist.push_back(b);
-          closes_back_edge |= (f.chosen.count(b) > 0);
-        }
-      }
       // Cycles persist under completion, so once the partial graph
       // already satisfies the subset condition (an f-free forward cycle,
       // or the Theorem 5 escape), no completion below this choice can be
       // a counterexample: prune the whole subtree.
-      bool pruned = false;
-      if (closes_back_edge) {
-        pruned = HasFFreeForwardCycleIn(system_, f.chosen) ||
-                 (opts_.escape && EscapeAccepts(f));
-      }
+      const bool closes_back_edge = PushBody(f, ri);
+      bool pruned = closes_back_edge &&
+                    (ClosesCountedCycle(n) ||
+                     (opts_.escape && EscapeAccepts(f)));
       if (!pruned) {
         JointSearch(f, i + 1, found);
-        if (*found) return;  // keep chosen intact as the witness
+        if (*found) return;  // keep the choices intact as the witness
       }
       f.worklist.resize(mark);
-      f.chosen.erase(n);
+      Unchoose(f);
       if (exhausted_) return;
     }
   }
 
   bool EscapeAccepts(const Fragment& f) {
-    AndGraph g;
-    g.root = root_;
-    g.chosen = f.chosen;
-    return opts_.escape(g);
+    return opts_.escape(ChosenGraph{root_, rule_of_.data(), f.chosen,
+                                    &cycles_});
   }
 
   /// Fragment-mode DFS. Returns true when the fragment completed a
   /// closed (modulo delegation), 0-free, cycle-free assignment; the
-  /// assignment is left in f.chosen. Returns false on exhaustive
-  /// failure or when exhausted_ was set.
+  /// assignment is left chosen. Returns false on exhaustive failure or
+  /// when exhausted_ was set.
   bool FragmentSearch(Fragment& f, size_t from) {
     if (exhausted_) return false;
     if (StepStops()) return false;
@@ -463,13 +483,12 @@ class SubsetSearch {
     NodeId n = kInvalidNode;
     while (i < f.worklist.size()) {
       NodeId cand = f.worklist[i];
-      if (IsTerminal(cand) || f.chosen.count(cand)) {
+      if (IsTerminal(cand) || Chosen(cand)) {
         ++i;
         continue;
       }
       if (cand != f.root) {
-        auto it = memo_.find(cand);
-        if (it != memo_.end() && !it->second) {
+        if (memo_[cand] == kNoAnchor) {
           // Context-free: no closed cycle-free assignment contains
           // cand, so no completion of this branch exists.
           ++memo_hits_;
@@ -480,7 +499,7 @@ class SubsetSearch {
         // deeper re-entry is excluded by the disjointness check because
         // the root's component is active once chosen.
         if (Delegable(cand)) {
-          if (it != memo_.end()) {
+          if (memo_[cand] != kUnsolved) {
             ++memo_hits_;
             ++i;
             continue;
@@ -496,18 +515,17 @@ class SubsetSearch {
     }
     if (n == kInvalidNode) {
       // Complete (modulo delegated members, which merge cycle-free by
-      // the frontier guarantee).
+      // the frontier guarantee), and cycle-free by the invariant of
+      // ClosesCountedCycle.
       ++graphs_checked_;
-      return !HasFFreeForwardCycleIn(system_, f.chosen);
+      return true;
     }
     for (uint32_t ri : system_.RulesFor(n)) {
       if (!RuleUsable(ri)) continue;
       const PropRule& r = system_.rule(ri);
       bool dead = false;
       for (NodeId b : r.body) {
-        if (IsTerminal(b)) continue;
-        auto mit = memo_.find(b);
-        if (mit != memo_.end() && !mit->second) {
+        if (memo_[b] == kNoAnchor) {  // never set for terminals
           dead = true;
           break;
         }
@@ -516,25 +534,16 @@ class SubsetSearch {
         ++memo_hits_;
         continue;
       }
-      f.chosen.emplace(n, ri);
+      Choose(f, n, ri);
       ActivateChoice(n);
       size_t mark = f.worklist.size();
-      bool closes_back_edge = false;
-      for (NodeId b : r.body) {
-        if (!IsTerminal(b)) {
-          f.worklist.push_back(b);
-          closes_back_edge |= (f.chosen.count(b) > 0);
-        }
-      }
-      bool pruned = false;
-      if (closes_back_edge) {
-        pruned = HasFFreeForwardCycleIn(system_, f.chosen);
-      }
+      const bool closes_back_edge = PushBody(f, ri);
+      bool pruned = closes_back_edge && ClosesCountedCycle(n);
       if (!pruned) {
         if (FragmentSearch(f, i + 1)) return true;  // keep chosen intact
       }
       f.worklist.resize(mark);
-      f.chosen.erase(n);
+      Unchoose(f);
       DeactivateChoice(n);
       if (exhausted_) return false;
     }
@@ -562,7 +571,7 @@ class SubsetSearch {
       GreedyClose(b, &closure);
       for (const auto& [n, ri] : closure) fragment_rule_.emplace(n, ri);
       ++scc_short_;
-      memo_.emplace(b, true);
+      memo_[b] = kAnchors;
       return true;
     }
     Fragment f;
@@ -571,14 +580,15 @@ class SubsetSearch {
     bool feasible = FragmentSearch(f, 0);
     if (exhausted_) return false;  // verdict unknown: do not memoize
     if (feasible) {
-      for (const auto& [n, ri] : f.chosen) {
-        fragment_rule_.emplace(n, ri);
+      for (NodeId n : f.chosen) {
+        fragment_rule_.emplace(n, rule_of_[n]);
         // The success path never backtracked these choices; release
-        // their activations now that the fragment is closed.
+        // them now that the fragment is closed.
+        rule_of_[n] = kNoRule;
         DeactivateChoice(n);
       }
     }
-    memo_.emplace(b, feasible);
+    memo_[b] = feasible ? kAnchors : kNoAnchor;
     return feasible;
   }
 
@@ -653,8 +663,13 @@ class SubsetSearch {
   bool memo_mode_ = false;
   bool exhausted_ = false;
   StopReason stop_reason_ = StopReason::kNone;
-  /// node -> can it anchor a closed, 0-free, cycle-free assignment?
-  std::unordered_map<NodeId, bool> memo_;
+  /// node -> chosen rule (kNoRule if unchosen), shared by the active
+  /// fragments.
+  std::vector<uint32_t> rule_of_;
+  /// Cycle scratch for the per-choice check and the escape.
+  ChosenScc cycles_;
+  /// Memo mode: per-node frontier memo.
+  std::vector<Memo> memo_;
   /// node -> rule from the earliest completed fragment containing it.
   std::unordered_map<NodeId, uint32_t> fragment_rule_;
   /// Per-SCC count/bitset of components of currently chosen nodes.
@@ -704,7 +719,15 @@ bool IsCounterexampleGraph(const AndOrSystem& system, const AndGraph& graph) {
       }
     }
   }
-  return !HasFFreeForwardCycleIn(system, graph.chosen);
+  std::vector<uint32_t> rule_of(system.nodes().size(), kNoRule);
+  for (const auto& [node, rule_idx] : graph.chosen) rule_of[node] = rule_idx;
+  ChosenScc cycles;
+  cycles.Start(system, rule_of.data(), /*skip_f=*/true);
+  for (const auto& [node, rule_idx] : graph.chosen) cycles.Visit(node);
+  for (int32_t c = 0; c < cycles.num_components(); ++c) {
+    if (HasForwardEdgeIn(system, rule_of.data(), cycles, c)) return false;
+  }
+  return true;
 }
 
 }  // namespace hornsafe

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,12 +45,87 @@ struct AndGraph {
   std::string ToDot(const AndOrSystem& system, const Program& program) const;
 };
 
+/// `rule_of` entry of a node with no chosen rule.
+inline constexpr uint32_t kNoRule = static_cast<uint32_t>(-1);
+
+/// Strongly connected components of a chosen subgraph: the nodes v with
+/// `rule_of[v] != kNoRule`, with an edge v -> w for every chosen body
+/// member w of v's chosen rule. With `skip_f` the f-nodes are left out
+/// (the subset condition counts only f-node-free cycles). One iterative
+/// Tarjan over dense per-NodeId arrays that are sized on first use and
+/// reused by every later run, so a run allocates nothing after warm-up
+/// and costs O(nodes and edges it visits). Not thread-safe: each search
+/// owns one.
+class ChosenScc {
+ public:
+  /// Starts a run over `system`: forgets the previous run's components
+  /// and binds the subgraph. `rule_of` has one entry per system node
+  /// and must outlive the run; terminal nodes must be unchosen.
+  void Start(const AndOrSystem& system, const uint32_t* rule_of,
+             bool skip_f);
+
+  /// Visits every subgraph node reachable from `from` that this run has
+  /// not visited yet and returns the component of `from` (-1 if `from`
+  /// is not in the subgraph). Components are numbered in pop order from
+  /// 0, so the component of a fresh `from` is the run's latest.
+  int32_t Visit(NodeId from);
+
+  /// Component of `n`, or -1 if this run has not visited it.
+  int32_t comp(NodeId n) const {
+    return index_[n] < 0 ? -1 : comp_[n];
+  }
+
+  /// Components found by this run so far.
+  int32_t num_components() const {
+    return static_cast<int32_t>(comp_begin_.size()) - 1;
+  }
+
+  /// The members of component `c` of this run.
+  std::span<const NodeId> Members(int32_t c) const {
+    return std::span<const NodeId>(order_).subspan(
+        comp_begin_[c], comp_begin_[c + 1] - comp_begin_[c]);
+  }
+
+ private:
+  bool InSubgraph(NodeId n) const;
+
+  const AndOrSystem* system_ = nullptr;
+  const uint32_t* rule_of_ = nullptr;
+  bool skip_f_ = false;
+  /// Per node: DFS index (-1 = unvisited), lowlink, component (-1 while
+  /// on the Tarjan stack).
+  std::vector<int32_t> index_;
+  std::vector<int32_t> low_;
+  std::vector<int32_t> comp_;
+  /// Visited nodes grouped by component; component c is
+  /// order_[comp_begin_[c], comp_begin_[c + 1]).
+  std::vector<NodeId> order_;
+  std::vector<uint32_t> comp_begin_;
+  std::vector<NodeId> stack_;
+  /// Explicit DFS frames: node + next body position.
+  std::vector<std::pair<NodeId, uint32_t>> frames_;
+  int32_t next_index_ = 0;
+};
+
+/// A candidate AND-graph as the search holds it, lent to the escape for
+/// the duration of one call (nothing is copied).
+struct ChosenGraph {
+  NodeId root = kInvalidNode;
+  /// node -> chosen rule, kNoRule if unchosen; one entry per node.
+  const uint32_t* rule_of = nullptr;
+  /// The chosen nodes, in choice order.
+  std::span<const NodeId> nodes;
+  /// The search's cycle scratch, free for the escape to run.
+  ChosenScc* scc = nullptr;
+};
+
 /// Optional escape hatch for Theorem 5: called on every candidate
 /// counterexample graph (no 0-node, no f-node-free forward cycle); if it
 /// returns true the graph is considered to satisfy the subset condition
 /// anyway (e.g. because monotonicity constraints bound one of its
-/// cycles) and the search continues.
-using GraphEscape = std::function<bool(const AndGraph&)>;
+/// cycles) and the search continues. Called concurrently from parallel
+/// searches, each with its own graph and scratch.
+using GraphEscape = std::function<bool(const ChosenGraph&)>;
 
 /// Options for the subset-condition search.
 struct SubsetOptions {

@@ -1,60 +1,8 @@
 #include "constraints/mono.h"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_set>
 
 namespace hornsafe {
-
-namespace {
-
-/// Iterative Tarjan SCC over the chosen subgraph of an AND-graph.
-/// Returns node -> component id.
-std::unordered_map<NodeId, int> ChosenScc(const AndOrSystem& system,
-                                          const AndGraph& g) {
-  std::unordered_map<NodeId, int> comp;
-  std::unordered_map<NodeId, int> index;
-  std::unordered_map<NodeId, int> low;
-  std::vector<NodeId> stack;
-  std::unordered_set<NodeId> on_stack;
-  int next_index = 0;
-  int next_comp = 0;
-
-  std::function<void(NodeId)> connect = [&](NodeId v) {
-    index[v] = low[v] = next_index++;
-    stack.push_back(v);
-    on_stack.insert(v);
-    auto it = g.chosen.find(v);
-    if (it != g.chosen.end()) {
-      for (NodeId w : system.rule(it->second).body) {
-        if (g.chosen.find(w) == g.chosen.end()) continue;
-        if (index.find(w) == index.end()) {
-          connect(w);
-          low[v] = std::min(low[v], low[w]);
-        } else if (on_stack.count(w)) {
-          low[v] = std::min(low[v], index[w]);
-        }
-      }
-    }
-    if (low[v] == index[v]) {
-      while (true) {
-        NodeId w = stack.back();
-        stack.pop_back();
-        on_stack.erase(w);
-        comp[w] = next_comp;
-        if (w == v) break;
-      }
-      ++next_comp;
-    }
-  };
-
-  for (const auto& [node, rule] : g.chosen) {
-    if (index.find(node) == index.end()) connect(node);
-  }
-  return comp;
-}
-
-}  // namespace
 
 MonotonicityAnalyzer::MonotonicityAnalyzer(const Program& canonical,
                                            const AdornedProgram& adorned,
@@ -66,45 +14,46 @@ MonotonicityAnalyzer::MonotonicityAnalyzer(const Program& canonical,
   }
   for (uint32_t t = 0; t < adorned_.rules.size(); ++t) {
     const AdornedRule& ar = adorned_.rules[t];
-    for (uint32_t bi = 0; bi < ar.body.size(); ++bi) {
-      uint32_t occ = ar.body[bi].occurrence_id;
-      if (occ >= occurrence_index_.size()) {
-        occurrence_index_.resize(occ + 1, {0, 0});
+    for (const BodyOccurrence& bo : ar.body) {
+      if (bo.occurrence_id >= occurrences_.size()) {
+        occurrences_.resize(bo.occurrence_id + 1);
       }
-      occurrence_index_[occ] = {t, bi};
+      Occurrence& occ = occurrences_[bo.occurrence_id];
+      occ.adorned_rule = t;
+      occ.lit = &bo.lit;
+      if (bo.kind == PredicateKind::kDerived) {
+        occ.mapping = ArgumentMapping::Build(
+            canonical, canonical.rules()[ar.source_rule],
+            orders_[ar.source_rule], bo.lit);
+      }
     }
   }
 }
 
 GraphEscape MonotonicityAnalyzer::MakeEscape() const {
-  return [this](const AndGraph& g) { return GraphSatisfiesTheorem5(g); };
+  return [this](const ChosenGraph& g) { return GraphSatisfiesTheorem5(g); };
 }
 
 std::vector<MonotonicityAnalyzer::MetaEdge>
-MonotonicityAnalyzer::CyclicCallEdges(const AndGraph& g) const {
-  std::unordered_map<NodeId, int> comp = ChosenScc(system_, g);
+MonotonicityAnalyzer::CyclicCallEdges(const ChosenGraph& g) const {
+  ChosenScc& scc = *g.scc;
+  scc.Start(system_, g.rule_of, /*skip_f=*/false);
+  for (NodeId n : g.nodes) scc.Visit(n);
   std::vector<MetaEdge> edges;
-  for (const auto& [node, rule_idx] : g.chosen) {
+  for (NodeId node : g.nodes) {
     const PropNode& pn = system_.node(node);
     if (pn.kind != PropNodeKind::kBodyArgAdorned) continue;
-    const PropRule& pr = system_.rule(rule_idx);
+    const PropRule& pr = system_.rule(g.rule_of[node]);
     // Only the "call" rule q^a_k <- l^a_k links two rule instances.
     if (pr.body.size() != 1) continue;
     NodeId callee = pr.body[0];
     if (system_.node(callee).kind != PropNodeKind::kHeadArg) continue;
-    auto chosen_callee = g.chosen.find(callee);
-    if (chosen_callee == g.chosen.end()) continue;
-    // The call must lie on a cycle of the chosen subgraph.
-    auto cu = comp.find(node);
-    auto cv = comp.find(callee);
-    if (cu == comp.end() || cv == comp.end() || cu->second != cv->second) {
-      continue;
-    }
-    const auto& [from_rule, body_idx] = occurrence_index_[pn.occurrence];
-    uint32_t to_rule =
-        system_.rule(chosen_callee->second).source_adorned_rule;
-    const Literal* occ_lit = &adorned_.rules[from_rule].body[body_idx].lit;
-    edges.push_back(MetaEdge{from_rule, to_rule, occ_lit, node, callee});
+    // The call must lie on a cycle of the chosen subgraph (an unchosen
+    // callee has component -1).
+    if (scc.comp(callee) != scc.comp(node)) continue;
+    const Occurrence* occ = &occurrences_[pn.occurrence];
+    uint32_t to_rule = system_.rule(g.rule_of[callee]).source_adorned_rule;
+    edges.push_back(MetaEdge{occ, to_rule, node});
   }
   return edges;
 }
@@ -114,39 +63,32 @@ bool MonotonicityAnalyzer::CycleCertified(
   // Certification may depend on which rule anchors the composition (a
   // bound position of one participating adornment bounds the whole
   // track), so try every rotation.
-  std::vector<const MetaEdge*> rotated = cycle;
-  for (size_t r = 0; r < cycle.size(); ++r) {
-    if (CycleCertifiedAtPivot(rotated)) return true;
-    std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+  for (size_t pivot = 0; pivot < cycle.size(); ++pivot) {
+    if (CycleCertifiedAtPivot(cycle, pivot)) return true;
   }
   return false;
 }
 
 bool MonotonicityAnalyzer::CycleCertifiedAtPivot(
-    const std::vector<const MetaEdge*>& cycle) const {
+    const std::vector<const MetaEdge*>& cycle, size_t pivot) const {
   // Compose the argument mappings head(t₁) -> occ(t₁) = head(t₂) -> ...
-  // around the cycle into a self-mapping on the pivot predicate.
-  ArgumentMapping total(0, 0);
-  bool first = true;
-  for (const MetaEdge* e : cycle) {
-    const AdornedRule& ar = adorned_.rules[e->from_rule];
-    const Rule& rule = program_.rules()[ar.source_rule];
-    ArgumentMapping m = ArgumentMapping::Build(
-        program_, rule, orders_[ar.source_rule], *e->occ);
-    total = first ? m : total.Compose(m);
-    first = false;
+  // around the cycle, starting at the pivot, into a self-mapping on the
+  // pivot predicate.
+  ArgumentMapping total = cycle[pivot]->occ->mapping;
+  for (size_t k = 1; k < cycle.size(); ++k) {
+    total = total.Compose(cycle[(pivot + k) % cycle.size()]->occ->mapping);
   }
   if (total.Invalid()) return true;  // contradictory: derives nothing
 
-  const MetaEdge* pivot = cycle.front();
-  const AdornedRule& par = adorned_.rules[pivot->from_rule];
+  const MetaEdge* pe = cycle[pivot];
+  const AdornedRule& par = adorned_.rules[pe->occ->adorned_rule];
   const Rule& pivot_rule = program_.rules()[par.source_rule];
   const VariableOrder& order = orders_[par.source_rule];
   for (uint32_t i = 0; i < total.head_arity() && i < total.occ_arity();
        ++i) {
     uint8_t bits = total.rel(i, i);
     TermId head_var = pivot_rule.head.args[i];
-    TermId occ_var = pivot->occ->args[i];
+    TermId occ_var = pe->occ->lit->args[i];
     // "A cycle is bounded above and below if it contains a safe node":
     // a strictly monotone cycle through a position bound by the
     // adornment draws its values from a finite set and can only be
@@ -171,78 +113,74 @@ bool MonotonicityAnalyzer::CycleCertifiedAtPivot(
 }
 
 bool MonotonicityAnalyzer::GraphSatisfiesTheorem5(
-    const AndGraph& g) const {
+    const ChosenGraph& g) const {
   std::vector<MetaEdge> edges = CyclicCallEdges(g);
   if (edges.empty()) return false;
+  // CyclicCallEdges left the components of the whole chosen subgraph
+  // in g.scc, in pop order: an edge leaving a component points at an
+  // earlier one.
+  const ChosenScc& scc = *g.scc;
 
-  // Group outgoing edges per rule.
-  std::unordered_map<uint32_t, std::vector<const MetaEdge*>> out;
-  for (const MetaEdge& e : edges) out[e.from_rule].push_back(&e);
-
-  // Enumerate simple meta cycles up to kMaxCycleLength by DFS; the prop
-  // nodes of every certified cycle become finite seeds.
-  std::unordered_set<NodeId> finite;
+  // Enumerate simple meta cycles up to kMaxCycleLength by DFS, each
+  // once: from its smallest rule, through larger rules only
+  // (certification already tries every rotation). The components of
+  // every certified cycle become finite seeds.
+  std::vector<char> finite(scc.num_components(), 0);
+  bool any_certified = false;
   std::vector<const MetaEdge*> path;
-  std::unordered_set<uint32_t> on_path;
-
-  std::function<void(uint32_t, uint32_t)> dfs = [&](uint32_t start,
-                                                    uint32_t at) {
-    auto it = out.find(at);
-    if (it == out.end()) return;
-    for (const MetaEdge* e : it->second) {
-      if (e->to_rule == start) {
+  auto on_path = [&](uint32_t rule) {
+    for (const MetaEdge* p : path) {
+      if (p->to_rule == rule) return true;
+    }
+    return false;
+  };
+  auto dfs = [&](auto& self, uint32_t start, uint32_t at) -> void {
+    for (const MetaEdge& e : edges) {
+      if (e.occ->adorned_rule != at) continue;
+      if (e.to_rule == start) {
         // Closing the cycle: certify it.
-        path.push_back(e);
+        path.push_back(&e);
         if (CycleCertified(path)) {
-          for (const MetaEdge* c : path) {
-            finite.insert(c->call_node);
-            finite.insert(c->callee_node);
-          }
+          for (const MetaEdge* c : path) finite[scc.comp(c->call_node)] = 1;
+          any_certified = true;
         }
         path.pop_back();
         continue;
       }
-      if (on_path.count(e->to_rule)) continue;
+      if (e.to_rule < start || on_path(e.to_rule)) continue;
       if (path.size() + 1 >= static_cast<size_t>(kMaxCycleLength)) continue;
-      path.push_back(e);
-      on_path.insert(e->to_rule);
-      dfs(start, e->to_rule);
-      on_path.erase(e->to_rule);
+      path.push_back(&e);
+      self(self, start, e.to_rule);
       path.pop_back();
     }
   };
-
   std::vector<uint32_t> starts;
-  for (const auto& [rule, _] : out) starts.push_back(rule);
+  starts.reserve(edges.size());
+  for (const MetaEdge& e : edges) starts.push_back(e.occ->adorned_rule);
   std::sort(starts.begin(), starts.end());
-  for (uint32_t st : starts) {
-    path.clear();
-    on_path.clear();
-    on_path.insert(st);
-    dfs(st, st);
-  }
-  if (finite.empty()) return false;
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  for (uint32_t st : starts) dfs(dfs, st, st);
+  if (!any_certified) return false;
 
   // Propagate finiteness to the root: a chosen rule's body is an
   // intersection of binding sources, so one finite member makes the
-  // head finite.
-  bool changed = true;
-  while (changed && !finite.count(g.root)) {
-    changed = false;
-    for (const auto& [node, rule_idx] : g.chosen) {
-      if (finite.count(node)) continue;
-      const PropRule& pr = system_.rule(rule_idx);
-      for (NodeId b : pr.body) {
-        if (finite.count(b) ||
+  // head finite, and with it every node of its component (each reaches
+  // it). Pop order settles a component's targets before the component.
+  for (int32_t c = 0; c < scc.num_components(); ++c) {
+    for (NodeId u : scc.Members(c)) {
+      if (finite[c]) break;
+      for (NodeId b : system_.rule(g.rule_of[u]).body) {
+        int32_t cb = scc.comp(b);
+        if ((cb >= 0 && finite[cb]) ||
             system_.node(b).kind == PropNodeKind::kZero) {
-          finite.insert(node);
-          changed = true;
+          finite[c] = 1;
           break;
         }
       }
     }
   }
-  return finite.count(g.root) > 0;
+  int32_t root_comp = scc.comp(g.root);
+  return root_comp >= 0 && finite[root_comp] != 0;
 }
 
 }  // namespace hornsafe

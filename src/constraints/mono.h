@@ -49,7 +49,8 @@ class MonotonicityAnalyzer {
 
   /// True iff `g` satisfies the Theorem 5 condition: the root is finite
   /// given the certified (finitely-traversable) rule cycles it realises.
-  bool GraphSatisfiesTheorem5(const AndGraph& g) const;
+  /// Runs its cycle search in `g.scc`.
+  bool GraphSatisfiesTheorem5(const ChosenGraph& g) const;
 
   /// Adapter for SubsetOptions::escape.
   GraphEscape MakeEscape() const;
@@ -59,37 +60,44 @@ class MonotonicityAnalyzer {
   static constexpr int kMaxCycleLength = 8;
 
  private:
+  /// One body occurrence of an adorned rule.
+  struct Occurrence {
+    uint32_t adorned_rule = 0;
+    const Literal* lit = nullptr;
+    /// Head -> occurrence argument mapping, built once in the
+    /// constructor for derived occurrences (the only ones that call).
+    ArgumentMapping mapping{0, 0};
+  };
+
   struct MetaEdge {
-    /// Adorned rule the call occurs in.
-    uint32_t from_rule;
+    /// The call's occurrence; the call occurs in `occ->adorned_rule`.
+    const Occurrence* occ;
     /// Adorned rule chosen for the callee's head-argument node.
     uint32_t to_rule;
-    /// The occurrence literal in `from_rule`'s canonical rule.
-    const Literal* occ;
-    /// The BodyArgAdorned node realising the call.
+    /// The BodyArgAdorned node realising the call (its callee HeadArg
+    /// node shares its component).
     NodeId call_node = kInvalidNode;
-    /// The callee HeadArg node.
-    NodeId callee_node = kInvalidNode;
   };
 
   /// Rebuilds the call edges realised by `g` whose endpoints share a
   /// strongly connected component of the chosen subgraph (i.e. that lie
-  /// on a cycle).
-  std::vector<MetaEdge> CyclicCallEdges(const AndGraph& g) const;
+  /// on a cycle). Leaves those components in `g.scc`.
+  std::vector<MetaEdge> CyclicCallEdges(const ChosenGraph& g) const;
 
   /// True iff some rotation of the cycle certifies finiteness.
   bool CycleCertified(const std::vector<const MetaEdge*>& cycle) const;
 
-  /// Certification with `cycle.front()` as the pivot.
-  bool CycleCertifiedAtPivot(const std::vector<const MetaEdge*>& cycle) const;
+  /// Certification with `cycle[pivot]` as the pivot.
+  bool CycleCertifiedAtPivot(const std::vector<const MetaEdge*>& cycle,
+                             size_t pivot) const;
 
   const Program& program_;
   const AdornedProgram& adorned_;
   const AndOrSystem& system_;
   /// Per canonical rule: its monotonicity-induced variable order.
   std::vector<VariableOrder> orders_;
-  /// occurrence id -> (adorned rule index, body index).
-  std::vector<std::pair<uint32_t, uint32_t>> occurrence_index_;
+  /// By occurrence id.
+  std::vector<Occurrence> occurrences_;
 };
 
 }  // namespace hornsafe

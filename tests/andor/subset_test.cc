@@ -302,7 +302,7 @@ TEST(SubsetTest, EscapeHookCanAcceptEveryGraph) {
   )");
   SubsetOptions opts;
   int calls = 0;
-  opts.escape = [&](const AndGraph&) {
+  opts.escape = [&](const ChosenGraph&) {
     ++calls;
     return true;
   };

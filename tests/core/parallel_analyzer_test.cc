@@ -81,6 +81,11 @@ TEST(ParallelAnalyzerTest, PaperExamplesAgreeAcrossJobCounts) {
       R"(concat([X|Y], Z, [X|U]) :- concat(Y, Z, U).
          concat([], Z, Z).
          ?- concat(A, B, C).)",
+      // Example 7 with the result bound: the costliest escape-mode
+      // search, so each pool thread runs its own search scratch.
+      R"(concat([X|Y], Z, [X|U]) :- concat(Y, Z, U).
+         concat([], Z, Z).
+         ?- concat(A, B, [1,2,3]).)",
       // Example 11: recursion never grounded (emptiness pruning).
       R"(.infinite f/2.
          .fd f: 2 -> 1.
