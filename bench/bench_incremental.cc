@@ -99,8 +99,6 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
   uint64_t warm_steps = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_lookups = 0;
-  uint64_t fragments_spliced = 0;
-  uint64_t fragments_rebuilt = 0;
   uint64_t segments_grafted = 0;
   uint64_t segments_total = 0;
   uint64_t grafts_rejected = 0;
@@ -136,9 +134,9 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
       Check(up->dirty_predicates > 0, "edit dirtied no cone");
       Check(up->clean_predicates > 0, "edit dirtied every cone");
       warm_update_seconds += Seconds(t0);
-      // Byte-identity of the warm (segment-grafted, fragment-spliced)
-      // system against the cold reference build — untimed, between the
-      // update and analyze laps.
+      // Byte-identity of the warm (segment-grafted) system against the
+      // cold reference build — untimed, between the update and analyze
+      // laps.
       Check(analyzer->system().ToString(analyzer->canonical()) ==
                 cold_renderings[static_cast<size_t>(e)],
             "warm system rendering differs from cold");
@@ -153,8 +151,6 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
     warm_steps += c.steps - primed.steps;
     cache_hits += c.cache_hits;
     cache_lookups += c.cache_hits + c.cache_misses;
-    fragments_spliced += c.fragments_spliced - primed.fragments_spliced;
-    fragments_rebuilt += c.fragments_rebuilt - primed.fragments_rebuilt;
     segments_grafted += c.segments_grafted - primed.segments_grafted;
     segments_total += c.segments_total - primed.segments_total;
     grafts_rejected +=
@@ -177,7 +173,6 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
     ++rounds;
   }
   if (rounds == 0) return;
-  Check(fragments_spliced > 0, "warm updates spliced no fragments");
   Check(segments_grafted > 0, "warm updates grafted no segments");
   Check(nodes_shared > 0, "warm updates shared no nodes");
 
@@ -193,11 +188,6 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
           ? static_cast<double>(cache_hits) /
                 static_cast<double>(cache_lookups)
           : 0;
-  const double fragment_reuse_rate =
-      fragments_spliced + fragments_rebuilt > 0
-          ? static_cast<double>(fragments_spliced) /
-                static_cast<double>(fragments_spliced + fragments_rebuilt)
-          : 0;
   const double segment_graft_rate =
       segments_total > 0 ? static_cast<double>(segments_grafted) /
                                static_cast<double>(segments_total)
@@ -209,7 +199,6 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
           : 0;
   state.counters["step_ratio"] = step_ratio;
   state.counters["hit_rate"] = hit_rate;
-  state.counters["fragment_reuse_rate"] = fragment_reuse_rate;
   state.counters["segment_graft_rate"] = segment_graft_rate;
   state.counters["node_share_rate"] = node_share_rate;
 
@@ -231,7 +220,6 @@ void BM_IncrementalEditWorkload(benchmark::State& state) {
               warm_update_seconds * per_edit);
   dump.Record(name, "warm_analyze_seconds_per_edit",
               warm_analyze_seconds * per_edit);
-  dump.Record(name, "fragment_reuse_rate", fragment_reuse_rate);
   dump.Record(name, "segment_graft_rate", segment_graft_rate);
   dump.Record(name, "node_share_rate", node_share_rate);
   dump.Record(name, "warm_segments_grafted_per_edit",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "andor/fragment.h"
 #include "util/strings.h"
 
 namespace hornsafe {
@@ -119,13 +118,11 @@ std::string AdornedProgram::ToString(const Program& program) const {
 }
 
 Result<AdornedProgram> BuildAdornedProgram(const Program& canonical,
-                                           AdornmentCache* cache,
-                                           const FragmentSplicePlan* splice) {
+                                           AdornmentCache* cache) {
   AdornedProgram out;
   AdornmentCache local_cache;
   if (cache == nullptr) cache = &local_cache;
   uint32_t next_occurrence = 0;
-  std::vector<Adornment> spliced_adornments;
   for (uint32_t ri = 0; ri < canonical.rules().size(); ++ri) {
     const Rule& rule = canonical.rules()[ri];
     auto check_all_vars = [&](const Literal& lit) {
@@ -147,25 +144,8 @@ Result<AdornedProgram> BuildAdornedProgram(const Program& canonical,
                    "run Canonicalize first"));
       }
     }
-    const RuleFragment* frag =
-        splice != nullptr && ri < splice->by_rule.size()
-            ? splice->by_rule[ri]
-            : nullptr;
-    const std::vector<Adornment>* adornment_list;
-    if (frag != nullptr && !frag->adornment_masks.empty()) {
-      spliced_adornments.clear();
-      spliced_adornments.reserve(frag->adornment_masks.size());
-      for (uint64_t mask : frag->adornment_masks) {
-        Adornment a;
-        a.bound_mask = mask;
-        a.arity = static_cast<uint32_t>(rule.head.args.size());
-        spliced_adornments.push_back(a);
-      }
-      adornment_list = &spliced_adornments;
-    } else {
-      adornment_list = &cache->For(canonical.terms(), rule.head);
-    }
-    const std::vector<Adornment>& adornments = *adornment_list;
+    const std::vector<Adornment>& adornments =
+        cache->For(canonical.terms(), rule.head);
     for (const Adornment& a : adornments) {
       AdornedRule ar;
       ar.head_pred = rule.head.pred;

@@ -11,10 +11,6 @@
 #include "util/status.h"
 
 namespace hornsafe {
-struct FragmentSplicePlan;
-}
-
-namespace hornsafe {
 
 /// An adornment over `arity` argument positions: bit k set in
 /// `bound_mask` means position k is bound ('b'), clear means free ('f').
@@ -112,16 +108,8 @@ struct AdornedProgram {
 /// `cache` is non-null its adornment sets are reused (and extended);
 /// keys are program-independent grouping patterns, so one cache may
 /// serve any number of programs.
-///
-/// When `splice` is non-null (andor/fragment.h), rules with a planned
-/// fragment take their head adornment list from the fragment's
-/// persisted masks instead of re-deriving the grouping pattern — the
-/// adornment-reuse half of the differential front end. The masks were
-/// recorded from a guard-equal rule, so the spliced list equals what
-/// enumeration would produce; output is bit-identical either way.
-Result<AdornedProgram> BuildAdornedProgram(
-    const Program& canonical, AdornmentCache* cache = nullptr,
-    const FragmentSplicePlan* splice = nullptr);
+Result<AdornedProgram> BuildAdornedProgram(const Program& canonical,
+                                           AdornmentCache* cache = nullptr);
 
 }  // namespace hornsafe
 

@@ -2,21 +2,11 @@
 
 #include <algorithm>
 
-#include "util/strings.h"
-
 namespace hornsafe {
 
 namespace {
 
 /// Builder for one call to BuildAndOrSystem.
-///
-/// Every node acquisition and rule emission funnels through Note()/
-/// Emit(), which double as the fragment recorder: processing a rule
-/// fresh captures a replay template of rule-local coordinates, and
-/// ReplayRule() re-resolves a captured template against a new adorned
-/// rule. Replay performs the identical Intern*/AddRule sequence a fresh
-/// ProcessRule would, so spliced and fresh builds are bit-identical
-/// (see andor/fragment.h for the argument).
 class SystemBuilder {
  public:
   SystemBuilder(const Program& program, const AdornedProgram& adorned,
@@ -24,11 +14,6 @@ class SystemBuilder {
       : program_(program), adorned_(adorned), opts_(opts) {}
 
   Result<AndOrSystem> Run() {
-    FragmentRecording* rec = opts_.recording;
-    if (rec != nullptr) {
-      rec->by_adorned.clear();
-      rec->by_adorned.resize(adorned_.rules.size());
-    }
     if (opts_.segments == nullptr) {
       ProcessAdornedRange(0, adorned_.rules.size());
       return std::move(system_);
@@ -37,9 +22,9 @@ class SystemBuilder {
     // Segment-planned build: one component at a time. Clean components
     // graft their cached segment wholesale (nodes, rules, deleted bits
     // — no Intern*/AddRule calls at all); everything else goes through
-    // the normal per-rule path, fragment splicing included. Every
-    // component leaves a SegmentSpan so later stages can prune, slice
-    // and seal per span.
+    // the normal per-rule path. Every component leaves a SegmentSpan so
+    // later stages can prune, slice and seal per span. The plan tiles
+    // the canonical rules, so the spans tile the system.
     SegmentBuildStats* stats = opts_.segment_stats;
     size_t ai = 0;
     for (const SegmentGraft& comp : opts_.segments->components) {
@@ -99,305 +84,32 @@ class SystemBuilder {
       system_.NoteSpan(std::move(span));
       ai = aj;
     }
-    // Rules the plan did not cover (it should tile; degrade, don't
-    // drop). The trailing span keeps the spans tiling the system so
-    // slice-stitching stays valid.
-    if (ai < adorned_.rules.size()) {
-      SegmentSpan span;
-      span.node_begin = static_cast<uint32_t>(system_.nodes().size());
-      span.rule_begin = static_cast<uint32_t>(system_.num_rules());
-      span.ar_begin = static_cast<uint32_t>(ai);
-      span.ar_end = static_cast<uint32_t>(adorned_.rules.size());
-      bool occ_set = false;
-      for (size_t k = ai; k < adorned_.rules.size(); ++k) {
-        const AdornedRule& ar = adorned_.rules[k];
-        if (!occ_set && !ar.body.empty()) {
-          span.occ_base = ar.body.front().occurrence_id;
-          occ_set = true;
-        }
-        span.occ_count += static_cast<uint32_t>(ar.body.size());
-      }
-      ProcessAdornedRange(ai, adorned_.rules.size());
-      span.node_end = static_cast<uint32_t>(system_.nodes().size());
-      span.rule_end = static_cast<uint32_t>(system_.num_rules());
-      if (stats != nullptr) {
-        ++stats->segments_total;
-        stats->nodes_owned += span.node_end - span.node_begin;
-      }
-      system_.NoteSpan(std::move(span));
-    }
     return std::move(system_);
   }
 
  private:
-  /// The per-rule path (fragment splice or fresh build) over adorned
-  /// rules [begin, end). The range always starts at a canonical-rule
-  /// boundary, so the adornment ordinal restarts cleanly.
+  /// Algorithm 2 over adorned rules [begin, end).
   void ProcessAdornedRange(size_t begin, size_t end) {
-    FragmentRecording* rec = opts_.recording;
-    // Adorned rules of one canonical rule are consecutive, one per head
-    // adornment in enumeration order; the ordinal selects the template.
-    uint32_t prev_source = 0;
-    uint32_t ordinal = 0;
-    bool first = true;
-    for (size_t i = begin; i < end; ++i) {
-      const AdornedRule& ar = adorned_.rules[i];
-      ordinal = (!first && ar.source_rule == prev_source) ? ordinal + 1 : 0;
-      prev_source = ar.source_rule;
-      first = false;
-      ComputeRuleVars(ar);
-      const RuleFragment* frag =
-          opts_.splice != nullptr &&
-                  ar.source_rule < opts_.splice->by_rule.size()
-              ? opts_.splice->by_rule[ar.source_rule]
-              : nullptr;
-      if (frag != nullptr && ordinal < frag->per_adornment.size() &&
-          TemplateFits(ar, *frag, ordinal)) {
-        ReplayRule(ar, frag->per_adornment[ordinal]);
-        if (rec != nullptr) ++rec->rules_spliced;
-      } else {
-        BeginRecording(ar);
-        ProcessRule(ar);
-        EndRecording(ar);
-        if (rec != nullptr) ++rec->rules_rebuilt;
-      }
-    }
-  }
-  // --- Recorded acquisition/emission wrappers ---------------------------
-
-  NodeId Note(NodeId id, const FragmentNodeSpec& spec) {
-    if (cur_tmpl_ != nullptr) {
-      auto [it, inserted] = cur_spec_of_.try_emplace(
-          id, static_cast<uint32_t>(cur_tmpl_->specs.size()));
-      (void)it;
-      if (inserted) cur_tmpl_->specs.push_back(spec);
-    }
-    return id;
+    for (size_t i = begin; i < end; ++i) ProcessRule(adorned_.rules[i]);
   }
 
-  NodeId Zero() {
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kZero;
-    return Note(system_.zero(), s);
-  }
-
-  NodeId One() {
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kOne;
-    return Note(system_.one(), s);
-  }
-
-  NodeId OwnHead(const AdornedRule& ar, uint32_t k) {
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kHeadArg;
-    s.occ = -1;
-    s.position = k;
-    s.adornment_mask = ar.adornment.bound_mask;
-    return Note(
-        system_.InternHeadArg(ar.head_pred, ar.adornment.bound_mask, k), s);
-  }
-
-  NodeId CalleeHead(const AdornedRule& ar, size_t occ_idx, uint64_t mask,
-                    uint32_t k) {
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kHeadArg;
-    s.occ = static_cast<int32_t>(occ_idx);
-    s.position = k;
-    s.adornment_mask = mask;
-    return Note(system_.InternHeadArg(ar.body[occ_idx].lit.pred, mask, k), s);
-  }
+  // --- Algorithm 2 --------------------------------------------------------
 
   NodeId Var(const AdornedRule& ar, TermId v) {
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kVariable;
-    s.var_slot = VarSlot(v);
-    return Note(system_.InternVariable(ar.adorned_index, v), s);
+    return system_.InternVariable(ar.adorned_index, v);
   }
 
   NodeId BodyArg(const AdornedRule& ar, size_t occ_idx, uint32_t k) {
     const BodyOccurrence& occ = ar.body[occ_idx];
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kBodyArg;
-    s.occ = static_cast<int32_t>(occ_idx);
-    s.position = k;
-    return Note(system_.InternBodyArg(
-                    occ.occurrence_id, k, occ.lit.pred, ar.adorned_index,
-                    occ.kind == PredicateKind::kInfiniteBase),
-                s);
+    return system_.InternBodyArg(occ.occurrence_id, k, occ.lit.pred,
+                                 ar.adorned_index,
+                                 occ.kind == PredicateKind::kInfiniteBase);
   }
 
-  NodeId AdornedArg(const AdornedRule& ar, size_t occ_idx, uint64_t mask,
-                    uint32_t k) {
-    const BodyOccurrence& occ = ar.body[occ_idx];
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kBodyArgAdorned;
-    s.occ = static_cast<int32_t>(occ_idx);
-    s.position = k;
-    s.adornment_mask = mask;
-    return Note(system_.InternBodyArgAdorned(occ.occurrence_id, mask, k,
-                                             occ.lit.pred, ar.adorned_index),
-                s);
-  }
-
-  NodeId FdChoice(const AdornedRule& ar, size_t occ_idx, uint32_t k,
-                  uint32_t i) {
-    const BodyOccurrence& occ = ar.body[occ_idx];
-    FragmentNodeSpec s;
-    s.kind = FragmentSpecKind::kFdChoice;
-    s.occ = static_cast<int32_t>(occ_idx);
-    s.position = k;
-    s.fd_index = i;
-    return Note(system_.InternFdChoice(occ.occurrence_id, k, i, occ.lit.pred,
-                                       ar.adorned_index),
-                s);
-  }
-
-  void Emit(PropRule rule) {
-    if (cur_tmpl_ != nullptr) {
-      FragmentPropRule fr;
-      bool ok = SpecOf(rule.head, &fr.head);
-      fr.body.reserve(rule.body.size());
-      for (NodeId b : rule.body) {
-        uint32_t idx = 0;
-        ok = ok && SpecOf(b, &idx);
-        fr.body.push_back(idx);
-      }
-      if (ok) {
-        cur_tmpl_->rules.push_back(std::move(fr));
-      } else {
-        // A node reached Emit without passing Note — drop the template
-        // rather than cache a hole (EndRecording discards it).
-        cur_tmpl_ = nullptr;
-      }
-    }
-    system_.AddRule(std::move(rule));
-  }
-
-  bool SpecOf(NodeId id, uint32_t* out) const {
-    auto it = cur_spec_of_.find(id);
-    if (it == cur_spec_of_.end()) return false;
-    *out = it->second;
-    return true;
-  }
-
-  void BeginRecording(const AdornedRule& ar) {
-    cur_tmpl_ = nullptr;
-    cur_spec_of_.clear();
-    if (opts_.recording == nullptr) return;
-    auto& slot = opts_.recording->by_adorned[ar.adorned_index];
-    slot = std::make_unique<AdornedRuleTemplate>();
-    cur_tmpl_ = slot.get();
-  }
-
-  void EndRecording(const AdornedRule& ar) {
-    if (opts_.recording != nullptr && cur_tmpl_ == nullptr) {
-      opts_.recording->by_adorned[ar.adorned_index].reset();
-    }
-    cur_tmpl_ = nullptr;
-    cur_spec_of_.clear();
-  }
-
-  // --- Replay -----------------------------------------------------------
-
-  /// Defensive structural check before committing to a template: the
-  /// guard should guarantee all of this, but a mismatch must degrade to
-  /// a fresh build, never to out-of-bounds replay.
-  bool TemplateFits(const AdornedRule& ar, const RuleFragment& frag,
-                    uint32_t ordinal) const {
-    if (frag.adornment_masks.size() != frag.per_adornment.size()) {
-      return false;
-    }
-    if (frag.adornment_masks[ordinal] != ar.adornment.bound_mask) {
-      return false;
-    }
-    for (const FragmentNodeSpec& s : frag.per_adornment[ordinal].specs) {
-      switch (s.kind) {
-        case FragmentSpecKind::kZero:
-        case FragmentSpecKind::kOne:
-          break;
-        case FragmentSpecKind::kHeadArg:
-          if (s.occ < 0) {
-            if (s.position >= ar.head.args.size()) return false;
-            break;
-          }
-          [[fallthrough]];
-        case FragmentSpecKind::kBodyArg:
-        case FragmentSpecKind::kBodyArgAdorned:
-        case FragmentSpecKind::kFdChoice:
-          if (s.occ < 0 ||
-              static_cast<size_t>(s.occ) >= ar.body.size() ||
-              s.position >= ar.body[s.occ].lit.args.size()) {
-            return false;
-          }
-          break;
-        case FragmentSpecKind::kVariable:
-          if (s.var_slot >= rule_vars_.size()) return false;
-          break;
-      }
-    }
-    return true;
-  }
-
-  NodeId Resolve(const AdornedRule& ar, const FragmentNodeSpec& s) {
-    switch (s.kind) {
-      case FragmentSpecKind::kZero:
-        return system_.zero();
-      case FragmentSpecKind::kOne:
-        return system_.one();
-      case FragmentSpecKind::kHeadArg: {
-        PredicateId pred =
-            s.occ < 0 ? ar.head_pred : ar.body[s.occ].lit.pred;
-        return system_.InternHeadArg(pred, s.adornment_mask, s.position);
-      }
-      case FragmentSpecKind::kVariable:
-        return system_.InternVariable(ar.adorned_index,
-                                      rule_vars_[s.var_slot]);
-      case FragmentSpecKind::kBodyArg: {
-        const BodyOccurrence& occ = ar.body[s.occ];
-        return system_.InternBodyArg(
-            occ.occurrence_id, s.position, occ.lit.pred, ar.adorned_index,
-            occ.kind == PredicateKind::kInfiniteBase);
-      }
-      case FragmentSpecKind::kBodyArgAdorned: {
-        const BodyOccurrence& occ = ar.body[s.occ];
-        return system_.InternBodyArgAdorned(occ.occurrence_id,
-                                            s.adornment_mask, s.position,
-                                            occ.lit.pred, ar.adorned_index);
-      }
-      case FragmentSpecKind::kFdChoice: {
-        const BodyOccurrence& occ = ar.body[s.occ];
-        return system_.InternFdChoice(occ.occurrence_id, s.position,
-                                      s.fd_index, occ.lit.pred,
-                                      ar.adorned_index);
-      }
-    }
-    return system_.zero();
-  }
-
-  void ReplayRule(const AdornedRule& ar, const AdornedRuleTemplate& tmpl) {
-    // Resolving the specs in first-acquisition order makes every node
-    // that is new to this system come into existence at exactly the
-    // point the fresh build would have created it.
-    resolved_.clear();
-    resolved_.reserve(tmpl.specs.size());
-    for (const FragmentNodeSpec& s : tmpl.specs) {
-      resolved_.push_back(Resolve(ar, s));
-    }
-    for (const FragmentPropRule& fr : tmpl.rules) {
-      PropRule rule;
-      rule.head = resolved_[fr.head];
-      rule.body.reserve(fr.body.size());
-      for (uint32_t b : fr.body) rule.body.push_back(resolved_[b]);
-      rule.source_adorned_rule = ar.adorned_index;
-      system_.AddRule(std::move(rule));
-    }
-  }
-
-  // --- Fresh build (Algorithm 2) ----------------------------------------
+  void Emit(PropRule rule) { system_.AddRule(std::move(rule)); }
 
   /// Distinct variables of the rule in first-occurrence order (head
-  /// first, then body left to right) — the coordinate system for
-  /// kVariable specs, shared by fresh step 2 and replay.
+  /// first, then body left to right): the order step 2 visits them in.
   void ComputeRuleVars(const AdornedRule& ar) {
     rule_vars_.clear();
     auto note = [&](TermId v) {
@@ -412,12 +124,8 @@ class SystemBuilder {
     }
   }
 
-  uint32_t VarSlot(TermId v) const {
-    auto it = std::find(rule_vars_.begin(), rule_vars_.end(), v);
-    return static_cast<uint32_t>(it - rule_vars_.begin());
-  }
-
   void ProcessRule(const AdornedRule& ar) {
+    ComputeRuleVars(ar);
     Step1HeadArgs(ar);
     Step2Variables(ar);
     for (size_t occ_idx = 0; occ_idx < ar.body.size(); ++occ_idx) {
@@ -434,9 +142,10 @@ class SystemBuilder {
 
   void Step1HeadArgs(const AdornedRule& ar) {
     for (uint32_t k = 0; k < ar.head.args.size(); ++k) {
-      NodeId head = OwnHead(ar, k);
+      NodeId head =
+          system_.InternHeadArg(ar.head_pred, ar.adornment.bound_mask, k);
       if (ar.adornment.IsBound(k)) {
-        Emit(PropRule{head, {Zero()}, ar.adorned_index});
+        Emit(PropRule{head, {system_.zero()}, ar.adorned_index});
       } else {
         Emit(PropRule{head, {Var(ar, ar.head.args[k])}, ar.adorned_index});
       }
@@ -462,7 +171,7 @@ class SystemBuilder {
         }
       }
       if (grounded) {
-        Emit(PropRule{var_node, {Zero()}, ar.adorned_index});
+        Emit(PropRule{var_node, {system_.zero()}, ar.adorned_index});
         continue;
       }
       // C_X: every derived/infinite body argument the variable occurs in.
@@ -479,7 +188,7 @@ class SystemBuilder {
       if (conjunct.empty()) {
         // The variable occurs only in free head positions: it ranges over
         // the entire (infinite) domain.
-        Emit(PropRule{var_node, {One()}, ar.adorned_index});
+        Emit(PropRule{var_node, {system_.one()}, ar.adorned_index});
       } else {
         Emit(PropRule{var_node, std::move(conjunct), ar.adorned_index});
       }
@@ -495,7 +204,9 @@ class SystemBuilder {
       std::vector<NodeId> conjunct;
       for (const Adornment& a1 : adornments) {
         if (a1.IsBound(k)) continue;
-        NodeId adorned_node = AdornedArg(ar, occ_idx, a1.bound_mask, k);
+        NodeId adorned_node = system_.InternBodyArgAdorned(
+            occ.occurrence_id, a1.bound_mask, k, occ.lit.pred,
+            ar.adorned_index);
         conjunct.push_back(adorned_node);
         // The strategy is inapplicable if a bound variable is unsafe.
         std::vector<TermId> bound_vars;
@@ -513,7 +224,7 @@ class SystemBuilder {
         }
         // Even with safe bindings, the callee's adorned head may be
         // unsafe.
-        NodeId callee = CalleeHead(ar, occ_idx, a1.bound_mask, k);
+        NodeId callee = system_.InternHeadArg(occ.lit.pred, a1.bound_mask, k);
         Emit(PropRule{adorned_node, {callee}, ar.adorned_index});
       }
       // k is free in the all-free adornment, so the conjunct is never
@@ -561,17 +272,18 @@ class SystemBuilder {
           DeterminantsFor(occ.lit.pred, arity, k);
       if (determinants.empty()) {
         // No dependency restricts this argument: unsafe leaf.
-        Emit(PropRule{arg_node, {One()}, ar.adorned_index});
+        Emit(PropRule{arg_node, {system_.one()}, ar.adorned_index});
         continue;
       }
       std::vector<NodeId> conjunct;
       for (uint32_t i = 0; i < determinants.size(); ++i) {
-        NodeId choice = FdChoice(ar, occ_idx, k, i);
+        NodeId choice = system_.InternFdChoice(occ.occurrence_id, k, i,
+                                               occ.lit.pred, ar.adorned_index);
         conjunct.push_back(choice);
         if (determinants[i].Empty()) {
           // An empty antecedent is always applicable: the argument is
           // finite outright through this dependency.
-          Emit(PropRule{choice, {Zero()}, ar.adorned_index});
+          Emit(PropRule{choice, {system_.zero()}, ar.adorned_index});
           continue;
         }
         std::vector<TermId> antecedent_vars;
@@ -596,15 +308,8 @@ class SystemBuilder {
   AndOrSystem system_;
   AdornmentCache adornment_cache_;
   std::unordered_map<PredicateId, FdClosureIndex> fd_index_;
-
-  /// Per-rule state: distinct variables (coordinate system for
-  /// kVariable), the template being recorded (null when not recording
-  /// or recording was abandoned), the NodeId -> spec-index map of the
-  /// current rule, and the replay resolution scratch buffer.
+  /// Distinct variables of the rule being processed.
   std::vector<TermId> rule_vars_;
-  AdornedRuleTemplate* cur_tmpl_ = nullptr;
-  std::unordered_map<NodeId, uint32_t> cur_spec_of_;
-  std::vector<NodeId> resolved_;
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "andor/adorn.h"
-#include "andor/fragment.h"
 #include "andor/segment.h"
 #include "andor/system.h"
 #include "fd/fd.h"
@@ -32,21 +31,13 @@ struct BuildOptions {
       std::unordered_map<PredicateId, std::shared_ptr<const FdClosureIndex>>;
   const FdIndexMap* fd_indexes = nullptr;
 
-  /// Fragment templates to splice per canonical rule (andor/fragment.h);
-  /// null (or a null entry) means build fresh. Splicing produces a
-  /// system bit-identical to a fresh build.
-  const FragmentSplicePlan* splice = nullptr;
-
-  /// When set, fresh-built adorned rules record replay templates here
-  /// (sized/filled by the builder) and the spliced/rebuilt tallies are
-  /// kept, so the caller can cache the new fragments.
-  FragmentRecording* recording = nullptr;
-
   /// Per-component segment plan (andor/segment.h). When set the builder
   /// works component by component — grafting cached segments wholesale,
   /// building the rest normally — and records a SegmentSpan per
   /// component in the resulting system. Null disables the segment path
-  /// entirely (the system then carries no spans).
+  /// entirely (the system then carries no spans). Precondition: the
+  /// plan's components tile the canonical rules [0, num_rules) in order,
+  /// as those of a contiguous ComponentPartition of the same program do.
   const SegmentPlan* segments = nullptr;
 
   /// Graft/reject/sharing tallies of a segment-planned build.

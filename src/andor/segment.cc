@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
+#include "fd/fd.h"
+#include "lang/struct_hash.h"
+
 namespace hornsafe {
 
 namespace {
@@ -91,6 +94,22 @@ std::vector<PredicateId> ComponentPredSlots(const Program& canonical,
     for (const Literal& b : rules[ri].body) note(b.pred);
   }
   return slots;
+}
+
+uint64_t ComputeRuleGuard(const Program& canonical, uint32_t rule_index,
+                          bool use_fd_closure) {
+  const Rule& rule = canonical.rules()[rule_index];
+  uint64_t h = MixHash(0x66726167677264ULL);
+  h = CombineHash(h, StructuralRuleHash(canonical, rule));
+  for (const Literal& lit : rule.body) {
+    const PredicateInfo& info = canonical.predicate(lit.pred);
+    h = CombineHash(h, static_cast<uint64_t>(info.kind));
+    if (info.kind == PredicateKind::kInfiniteBase) {
+      h = CombineHash(h, FdSetHash(canonical.FdsFor(lit.pred)));
+      h = CombineHash(h, info.arity);
+    }
+  }
+  return CombineHash(h, use_fd_closure ? 1 : 0);
 }
 
 std::shared_ptr<const NodeTableSegment> EncodeSegment(

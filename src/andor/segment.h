@@ -16,13 +16,11 @@ namespace hornsafe {
 ///
 /// A *segment* is the post-prune node/rule span one weakly connected
 /// component of the predicate dependency graph contributes to an
-/// `AndOrSystem`, stored in relocatable coordinates. Fragment replay
-/// (andor/fragment.h) made warm builds bit-identical to cold ones but
-/// still re-executes every `Intern*`/`AddRule` call; a segment skips
-/// the calls entirely: `AndOrSystem::GraftSegment` appends the span's
-/// nodes and rules wholesale, resolving each relocation field against
-/// the *new* build's predicate ids, adorned-rule indices, occurrence
-/// ids and term pool. Only the edited component re-interns.
+/// `AndOrSystem`, stored in relocatable coordinates. A segment skips
+/// the per-rule build entirely: `AndOrSystem::GraftSegment` appends the
+/// span's nodes and rules wholesale, resolving each relocation field
+/// against the *new* build's predicate ids, adorned-rule indices,
+/// occurrence ids and term pool. Only the edited component re-interns.
 ///
 /// Why relocation is exact: ids shift between builds (an edit that adds
 /// a predicate renumbers everything after it), but within one component
@@ -37,12 +35,11 @@ namespace hornsafe {
 /// deduplicate against each other.
 ///
 /// Reuse is keyed by the component's ordered rule-guard sequence
-/// (ComputeRuleGuard covers predicate names/kinds/arities, argument
-/// grouping, FD sets and the closure flag) plus the emptiness bits of
-/// its predicates and the prune-mode flags — everything the build,
-/// emptiness pruning and reduction read. Segments are encoded *after*
-/// pruning, with per-rule deleted bits and the span's SccSlice, so a
-/// graft also replays the prune verdicts and condensation for free.
+/// (ComputeRuleGuard, below) plus the emptiness bits of its predicates
+/// and the prune-mode flags — everything the build, emptiness pruning
+/// and reduction read. Segments are encoded *after* pruning, with
+/// per-rule deleted bits and the span's SccSlice, so a graft also
+/// replays the prune verdicts and condensation for free.
 
 /// One relocatable node. Fields mirror PropNode, with ids replaced by
 /// run-relative coordinates.
@@ -160,6 +157,23 @@ struct SegmentBuildStats {
 /// system for SegmentNode::pred_slot.
 std::vector<PredicateId> ComponentPredSlots(const Program& canonical,
                                             const PredicateComponent& comp);
+
+/// The reuse guard of rule `rule_index` of `canonical`: two rules with
+/// equal guards make Algorithm 2 perform the same node acquisitions and
+/// rule emissions, up to the ids a graft relocates. The guard folds
+///  * the alpha-invariant structural rule hash — head and body
+///    predicates and the argument grouping patterns, which fix the
+///    adornment enumeration and the variable grounding pattern;
+///  * each body occurrence's predicate kind, which selects step 2
+///    grounding and the step 3 / step 4 dispatch;
+///  * each infinite-base callee's dependency set and arity, which fix
+///    the step 4 determinants;
+///  * the use_fd_closure flag, which selects declared vs minimal
+///    determinants.
+/// Everything else the builder reads (predicate ids, occurrence ids,
+/// adorned-rule indices, term ids) is a relocation field of the segment.
+uint64_t ComputeRuleGuard(const Program& canonical, uint32_t rule_index,
+                          bool use_fd_closure);
 
 /// Encodes one built-and-pruned span as a relocatable segment. Returns
 /// null if the span does not relocate cleanly (a node or rule indexes

@@ -106,11 +106,9 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
 
   const Program& cp = s.canon->program;
   const size_t num_preds = cp.num_predicates();
-  const size_t num_rules = cp.rules().size();
 
-  // Fingerprints move ahead of the And-Or stages: the fragment and FD
-  // tiers below are keyed by cone fingerprint, and (with a cache) the
-  // per-predicate hash memo skips structural hashing of textually
+  // Per-predicate cone fingerprints key the verdict tier. With a cache,
+  // the per-predicate hash memo skips structural hashing of textually
   // unchanged predicates.
   s.fps = ComputeFingerprints(
       cp, cache != nullptr ? &cache->pred_hashes() : nullptr);
@@ -160,68 +158,10 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   }
   s.stats.stage_prune_ns = timer.LapNs();
 
-  // Rule guards, shared by the fragment planning / assembly below and
-  // the segment keys (one pass instead of one ComputeRuleGuard per
-  // consumer).
-  std::vector<uint64_t> guards;
-  if (cache != nullptr) {
-    guards.resize(num_rules);
-    for (uint32_t ri = 0; ri < static_cast<uint32_t>(num_rules); ++ri) {
-      guards[ri] = ComputeRuleGuard(cp, ri, options.use_fd_closure);
-    }
-  }
-
-  // Fragment planning: pair every canonical rule of a predicate whose
-  // cached cone fragments are present with the guard-matching replay
-  // template. Rules are tried positionally first (the common unchanged
-  // layout), falling back to a guard scan so clause reorders inside a
-  // fingerprint-equal predicate still splice.
-  FragmentSplicePlan plan;
-  FragmentRecording recording;
-  std::vector<std::vector<uint32_t>> rules_of(num_preds);
-  std::vector<char> pred_cone_hit(num_preds, 0);
-  if (cache != nullptr) {
-    for (uint32_t ri = 0; ri < static_cast<uint32_t>(num_rules); ++ri) {
-      rules_of[cp.rules()[ri].head.pred].push_back(ri);
-    }
-    std::vector<std::shared_ptr<const ConeFragment>> by_pred(num_preds);
-    for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
-      if (rules_of[p].empty()) continue;
-      by_pred[p] = cache->LookupFragments(PipelineCache::FragmentKey(
-          s.fps.cone[p], options.use_fd_closure));
-      pred_cone_hit[p] = by_pred[p] != nullptr ? 1 : 0;
-    }
-    plan.by_rule.assign(num_rules, nullptr);
-    for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
-      const ConeFragment* cone = by_pred[p].get();
-      if (cone == nullptr) continue;
-      for (uint32_t ord = 0; ord < rules_of[p].size(); ++ord) {
-        uint32_t ri = rules_of[p][ord];
-        uint64_t guard = guards[ri];
-        const RuleFragment* match = nullptr;
-        if (ord < cone->rules.size() && cone->rules[ord].guard == guard) {
-          match = &cone->rules[ord];
-        } else {
-          for (const RuleFragment& rf : cone->rules) {
-            if (rf.guard == guard) {
-              match = &rf;
-              break;
-            }
-          }
-        }
-        plan.by_rule[ri] = match;
-      }
-      plan.pinned.push_back(std::move(by_pred[p]));
-    }
-    bopts.splice = &plan;
-    bopts.recording = &recording;
-  }
-
   HORNSAFE_ASSIGN_OR_RETURN(
       s.adorned,
       BuildAdornedProgram(cp,
-                          cache != nullptr ? &cache->adornments() : nullptr,
-                          cache != nullptr ? &plan : nullptr));
+                          cache != nullptr ? &cache->adornments() : nullptr));
   s.stats.stage_adorn_ns = timer.LapNs();
 
   // Segment planning (DESIGN.md, D15): partition the canonical rules
@@ -249,7 +189,7 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
         uint64_t h = MixHash(0x7365676d656e7430ULL);
         for (uint32_t ri = comp.first_rule;
              ri < comp.first_rule + comp.num_rules; ++ri) {
-          h = CombineHash(h, guards[ri]);
+          h = CombineHash(h, ComputeRuleGuard(cp, ri, options.use_fd_closure));
         }
         SegmentGraft g;
         g.first_rule = comp.first_rule;
@@ -274,44 +214,6 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
 
   HORNSAFE_ASSIGN_OR_RETURN(s.system,
                             BuildAndOrSystem(cp, s.adorned, bopts));
-  s.stats.fragments_spliced = recording.rules_spliced;
-  s.stats.fragments_rebuilt = recording.rules_rebuilt;
-
-  // Assemble and publish fragments for predicates whose cone missed the
-  // cache: their rules were all processed fresh, so the recording holds
-  // a complete template set (unless the recorder abandoned a rule, in
-  // which case that predicate is skipped rather than cached with holes).
-  if (cache != nullptr) {
-    std::vector<RuleFragment> per_rule(num_rules);
-    std::vector<char> rule_complete(num_rules, 1);
-    for (const AdornedRule& ar : s.adorned.rules) {
-      RuleFragment& rf = per_rule[ar.source_rule];
-      rf.adornment_masks.push_back(ar.adornment.bound_mask);
-      std::unique_ptr<AdornedRuleTemplate>& tmpl =
-          recording.by_adorned[ar.adorned_index];
-      if (tmpl != nullptr) {
-        rf.per_adornment.push_back(std::move(*tmpl));
-      } else {
-        rule_complete[ar.source_rule] = 0;
-      }
-    }
-    for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
-      if (rules_of[p].empty() || pred_cone_hit[p]) continue;
-      bool complete = true;
-      for (uint32_t ri : rules_of[p]) complete &= rule_complete[ri] != 0;
-      if (!complete) continue;
-      auto cone = std::make_shared<ConeFragment>();
-      cone->rules.reserve(rules_of[p].size());
-      for (uint32_t ri : rules_of[p]) {
-        RuleFragment rf = std::move(per_rule[ri]);
-        rf.guard = guards[ri];
-        cone->rules.push_back(std::move(rf));
-      }
-      cache->StoreFragments(
-          PipelineCache::FragmentKey(s.fps.cone[p], options.use_fd_closure),
-          std::move(cone));
-    }
-  }
   s.stats.stage_build_ns = timer.LapNs();
 
   s.stats.canonical_rules = cp.rules().size();
@@ -495,10 +397,6 @@ void SafetyAnalyzer::FoldBuildStats(const AnalysisSnapshot::Stats& stats) {
   c.stage_prune_ns.fetch_add(stats.stage_prune_ns,
                              std::memory_order_relaxed);
   c.stage_scc_ns.fetch_add(stats.stage_scc_ns, std::memory_order_relaxed);
-  c.fragments_spliced.fetch_add(stats.fragments_spliced,
-                                std::memory_order_relaxed);
-  c.fragments_rebuilt.fetch_add(stats.fragments_rebuilt,
-                                std::memory_order_relaxed);
   c.segments_total.fetch_add(stats.segments_total,
                              std::memory_order_relaxed);
   c.segments_grafted.fetch_add(stats.segments_grafted,
@@ -648,8 +546,6 @@ SafetyAnalyzer::Counters SafetyAnalyzer::counters() const {
   c.stage_prune_ns = sc.stage_prune_ns.load(std::memory_order_relaxed);
   c.stage_scc_ns = sc.stage_scc_ns.load(std::memory_order_relaxed);
   c.stage_search_ns = sc.stage_search_ns.load(std::memory_order_relaxed);
-  c.fragments_spliced = sc.fragments_spliced.load(std::memory_order_relaxed);
-  c.fragments_rebuilt = sc.fragments_rebuilt.load(std::memory_order_relaxed);
   c.segments_total = sc.segments_total.load(std::memory_order_relaxed);
   c.segments_grafted = sc.segments_grafted.load(std::memory_order_relaxed);
   c.segment_grafts_rejected =

@@ -156,10 +156,9 @@ struct AnalysisSnapshot {
     size_t rules_pruned_emptiness = 0;
     size_t rules_pruned_reduction = 0;
     /// Wall time per pipeline stage of this build (ns): Algorithm 1,
-    /// fingerprinting, FD index preparation, adornment (including
-    /// fragment planning), the Algorithm 2 build (including fragment
-    /// assembly), Algorithm 3 + 4 pruning, and condensation (+
-    /// monotonicity) — in pipeline order.
+    /// fingerprinting, FD index preparation, adornment, the
+    /// Algorithm 2 build (including segment planning), Algorithm 3 + 4
+    /// pruning, and condensation (+ monotonicity) — in pipeline order.
     uint64_t stage_canonicalize_ns = 0;
     uint64_t stage_fingerprint_ns = 0;
     uint64_t stage_fd_ns = 0;
@@ -167,10 +166,6 @@ struct AnalysisSnapshot {
     uint64_t stage_build_ns = 0;
     uint64_t stage_prune_ns = 0;
     uint64_t stage_scc_ns = 0;
-    /// Adorned rules spliced from cached fragments vs processed fresh
-    /// by this build (both 0 without a cache).
-    uint64_t fragments_spliced = 0;
-    uint64_t fragments_rebuilt = 0;
     /// Segment-path tallies of this build (all 0 without a cache, or
     /// when the component partition is not contiguous): components
     /// planned, grafted wholesale from cached segments, rejected at
@@ -333,10 +328,6 @@ class SafetyAnalyzer {
     uint64_t stage_prune_ns = 0;
     uint64_t stage_scc_ns = 0;
     uint64_t stage_search_ns = 0;
-    /// Adorned rules spliced from cached And-Or fragments vs processed
-    /// fresh, across every build.
-    uint64_t fragments_spliced = 0;
-    uint64_t fragments_rebuilt = 0;
     /// Node-table segment tallies across every build (DESIGN.md, D15):
     /// components planned / grafted / rejected / freshly encoded, and
     /// nodes appended from shared segments vs interned fresh.
@@ -388,8 +379,6 @@ class SafetyAnalyzer {
     std::atomic<uint64_t> stage_prune_ns{0};
     std::atomic<uint64_t> stage_scc_ns{0};
     std::atomic<uint64_t> stage_search_ns{0};
-    std::atomic<uint64_t> fragments_spliced{0};
-    std::atomic<uint64_t> fragments_rebuilt{0};
     std::atomic<uint64_t> segments_total{0};
     std::atomic<uint64_t> segments_grafted{0};
     std::atomic<uint64_t> segment_grafts_rejected{0};
@@ -436,7 +425,7 @@ class SafetyAnalyzer {
   ExecContext default_exec() const;
   void Publish(std::shared_ptr<const AnalysisSnapshot> snap);
 
-  /// Folds one build's stage breakdown and fragment tallies into the
+  /// Folds one build's stage breakdown and segment tallies into the
   /// cumulative counters (called by Create and every Update).
   void FoldBuildStats(const AnalysisSnapshot::Stats& stats);
 

@@ -856,48 +856,6 @@ void PipelineCache::StoreEmptiness(uint64_t strict_hash,
   while (emptiness_.size() > kMaxArtifacts) emptiness_.pop_back();
 }
 
-CacheKey PipelineCache::FragmentKey(uint64_t cone_fp, bool use_fd_closure) {
-  uint64_t lo = CombineHash(cone_fp, use_fd_closure ? 1 : 0);
-  uint64_t hi = CombineHash(MixHash(cone_fp ^ 0x667261676d656e74ULL),
-                            use_fd_closure ? 3 : 2);
-  return {hi, lo};
-}
-
-std::shared_ptr<const ConeFragment> PipelineCache::LookupFragments(
-    const CacheKey& key) {
-  std::lock_guard<std::mutex> lock(fragment_mu_);
-  auto it = fragment_index_.find(key);
-  if (it == fragment_index_.end()) {
-    ++fragment_misses_;
-    return nullptr;
-  }
-  fragments_.splice(fragments_.begin(), fragments_, it->second);
-  ++fragment_hits_;
-  return fragments_.front().second;
-}
-
-void PipelineCache::StoreFragments(
-    const CacheKey& key, std::shared_ptr<const ConeFragment> fragments) {
-  if (fragments == nullptr) return;
-  std::lock_guard<std::mutex> lock(fragment_mu_);
-  auto it = fragment_index_.find(key);
-  if (it != fragment_index_.end()) {
-    // Entries are content-addressed: a racing builder produced an
-    // equivalent cone, so keep the incumbent (outstanding pins stay
-    // coherent) and just refresh recency.
-    fragments_.splice(fragments_.begin(), fragments_, it->second);
-    return;
-  }
-  fragments_.emplace_front(key, std::move(fragments));
-  fragment_index_[key] = fragments_.begin();
-  ++fragment_insertions_;
-  while (fragments_.size() > kMaxFragmentEntries) {
-    fragment_index_.erase(fragments_.back().first);
-    fragments_.pop_back();
-    ++fragment_evictions_;
-  }
-}
-
 CacheKey PipelineCache::SegmentKey(uint64_t component_hash,
                                    uint32_t mode_bits) {
   uint64_t lo = CombineHash(component_hash, mode_bits);
@@ -952,13 +910,6 @@ PipelineCacheStats PipelineCache::stats() const {
   {
     std::lock_guard<std::mutex> lock(misc_mu_);
     out = misc_stats_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(fragment_mu_);
-    out.fragment_hits = fragment_hits_;
-    out.fragment_misses = fragment_misses_;
-    out.fragment_insertions = fragment_insertions_;
-    out.fragment_evictions = fragment_evictions_;
   }
   {
     std::lock_guard<std::mutex> lock(segment_mu_);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "andor/adorn.h"
-#include "andor/fragment.h"
 #include "andor/segment.h"
 #include "andor/subset.h"
 #include "canonical/canonical.h"
@@ -104,11 +103,6 @@ struct PipelineCacheStats {
   uint64_t canon_misses = 0;
   uint64_t emptiness_hits = 0;
   uint64_t emptiness_misses = 0;
-  /// And-Or fragment tier (per-cone replay templates).
-  uint64_t fragment_hits = 0;
-  uint64_t fragment_misses = 0;
-  uint64_t fragment_insertions = 0;
-  uint64_t fragment_evictions = 0;
   /// Node-table segment tier (per-component spans with prune verdicts
   /// and SCC slices — andor/segment.h).
   uint64_t segment_hits = 0;
@@ -277,20 +271,6 @@ class PipelineCache {
   /// lang/fingerprint.h.
   PredicateHashMemo& pred_hashes() { return pred_hashes_; }
 
-  // --- Fragment tier (thread-safe) --------------------------------------
-
-  /// The cache key of one predicate's And-Or fragments: the cone
-  /// fingerprint (covers every rule the fragments' guards fold) plus
-  /// the determinant mode, re-mixed into 128 bits.
-  static CacheKey FragmentKey(uint64_t cone_fp, bool use_fd_closure);
-
-  /// Cached replay templates for the cone, or null. The returned
-  /// pointer is immutable and safe to use concurrently; pin it for the
-  /// build's duration (FragmentSplicePlan::pinned).
-  std::shared_ptr<const ConeFragment> LookupFragments(const CacheKey& key);
-  void StoreFragments(const CacheKey& key,
-                      std::shared_ptr<const ConeFragment> fragments);
-
   // --- Segment tier (thread-safe) ---------------------------------------
 
   /// The cache key of one predicate component's node-table segment:
@@ -447,26 +427,10 @@ class PipelineCache {
   FdClosureCache fd_closures_;
   PredicateHashMemo pred_hashes_;
 
-  /// Fragment tier: per-cone replay templates behind their own lock
-  /// (probed once per predicate per build — orders of magnitude hotter
-  /// than the kMaxArtifacts tiers, far colder than verdicts). LRU, one
-  /// entry per (cone fingerprint, mode).
-  static constexpr size_t kMaxFragmentEntries = 1024;
-  mutable std::mutex fragment_mu_;
-  using FragmentLru =
-      std::list<std::pair<CacheKey, std::shared_ptr<const ConeFragment>>>;
-  FragmentLru fragments_;
-  std::unordered_map<CacheKey, FragmentLru::iterator, CacheKeyHash>
-      fragment_index_;
-  uint64_t fragment_hits_ = 0;
-  uint64_t fragment_misses_ = 0;
-  uint64_t fragment_insertions_ = 0;
-  uint64_t fragment_evictions_ = 0;
-
   /// Segment tier: per-component node-table spans behind their own
-  /// lock, same shape as the fragment tier (probed once per component
-  /// per build). Segments outlive eviction while any snapshot pins
-  /// them — entries hold shared_ptrs.
+  /// lock (probed once per component per build). LRU, one entry per
+  /// (component hash, mode). Segments outlive eviction while any
+  /// snapshot pins them — entries hold shared_ptrs.
   static constexpr size_t kMaxSegmentEntries = 256;
   mutable std::mutex segment_mu_;
   using SegmentLru = std::list<

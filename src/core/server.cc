@@ -168,8 +168,6 @@ void Server::AccumulateEphemeral(const SafetyAnalyzer::Counters& c) {
   ephemeral_totals_.stage_prune_ns += c.stage_prune_ns;
   ephemeral_totals_.stage_scc_ns += c.stage_scc_ns;
   ephemeral_totals_.stage_search_ns += c.stage_search_ns;
-  ephemeral_totals_.fragments_spliced += c.fragments_spliced;
-  ephemeral_totals_.fragments_rebuilt += c.fragments_rebuilt;
   ephemeral_totals_.segments_total += c.segments_total;
   ephemeral_totals_.segments_grafted += c.segments_grafted;
   ephemeral_totals_.segment_grafts_rejected += c.segment_grafts_rejected;
@@ -404,8 +402,6 @@ Json Server::DoStats() const {
     c.stage_prune_ns += ephemeral_totals_.stage_prune_ns;
     c.stage_scc_ns += ephemeral_totals_.stage_scc_ns;
     c.stage_search_ns += ephemeral_totals_.stage_search_ns;
-    c.fragments_spliced += ephemeral_totals_.fragments_spliced;
-    c.fragments_rebuilt += ephemeral_totals_.fragments_rebuilt;
     c.segments_total += ephemeral_totals_.segments_total;
     c.segments_grafted += ephemeral_totals_.segments_grafted;
     c.segment_grafts_rejected += ephemeral_totals_.segment_grafts_rejected;
@@ -435,8 +431,6 @@ Json Server::DoStats() const {
     a.Set("stage_prune_ns", c.stage_prune_ns);
     a.Set("stage_scc_ns", c.stage_scc_ns);
     a.Set("stage_search_ns", c.stage_search_ns);
-    a.Set("fragments_spliced", c.fragments_spliced);
-    a.Set("fragments_rebuilt", c.fragments_rebuilt);
     a.Set("segments_total", c.segments_total);
     a.Set("segments_grafted", c.segments_grafted);
     a.Set("segment_grafts_rejected", c.segment_grafts_rejected);
@@ -462,10 +456,6 @@ Json Server::DoStats() const {
     cs.Set("torn_tails_repaired", s.torn_tails_repaired);
     cs.Set("manifest_generation", s.manifest_generation);
     cs.Set("manifest_rollbacks", s.manifest_rollbacks);
-    cs.Set("fragment_hits", s.fragment_hits);
-    cs.Set("fragment_misses", s.fragment_misses);
-    cs.Set("fragment_insertions", s.fragment_insertions);
-    cs.Set("fragment_evictions", s.fragment_evictions);
     cs.Set("segment_hits", s.segment_hits);
     cs.Set("segment_misses", s.segment_misses);
     cs.Set("segment_insertions", s.segment_insertions);

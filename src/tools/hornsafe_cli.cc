@@ -240,15 +240,12 @@ void PrintAnalyzerStats(const SafetyAnalyzer& analyzer) {
         static_cast<unsigned long long>(c.cache_misses));
   }
   std::printf(
-      "  fragments spliced / rebuilt: %llu / %llu\n"
       "  segments grafted / total:    %llu / %llu (rejected %llu, encoded "
       "%llu)\n"
       "  nodes shared / owned:        %llu / %llu\n"
       "  node table peak:             %llu nodes, %llu bytes\n"
       "  stage times (ms): canonicalize %.2f, fingerprint %.2f, fd %.2f, "
       "adorn %.2f, build %.2f, prune %.2f, scc %.2f, search %.2f\n",
-      static_cast<unsigned long long>(c.fragments_spliced),
-      static_cast<unsigned long long>(c.fragments_rebuilt),
       static_cast<unsigned long long>(c.segments_grafted),
       static_cast<unsigned long long>(c.segments_total),
       static_cast<unsigned long long>(c.segment_grafts_rejected),
@@ -283,8 +280,6 @@ void PrintStatsJson(const SafetyAnalyzer& analyzer,
   a.Set("serial_tasks", c.serial_tasks);
   a.Set("cache_hits", c.cache_hits);
   a.Set("cache_misses", c.cache_misses);
-  a.Set("fragments_spliced", c.fragments_spliced);
-  a.Set("fragments_rebuilt", c.fragments_rebuilt);
   a.Set("segments_total", c.segments_total);
   a.Set("segments_grafted", c.segments_grafted);
   a.Set("segment_grafts_rejected", c.segment_grafts_rejected);
@@ -320,8 +315,6 @@ void PrintStatsJson(const SafetyAnalyzer& analyzer,
     cs.Set("canon_misses", s.canon_misses);
     cs.Set("emptiness_hits", s.emptiness_hits);
     cs.Set("emptiness_misses", s.emptiness_misses);
-    cs.Set("fragment_hits", s.fragment_hits);
-    cs.Set("fragment_misses", s.fragment_misses);
     cs.Set("segment_hits", s.segment_hits);
     cs.Set("segment_misses", s.segment_misses);
     cs.Set("segment_insertions", s.segment_insertions);
@@ -365,12 +358,9 @@ void PrintCacheStats(const PipelineCache& cache) {
       static_cast<unsigned long long>(s.emptiness_hits),
       static_cast<unsigned long long>(s.emptiness_misses));
   std::printf(
-      "  fragment hits / misses:   %llu / %llu\n"
       "  segment hits / misses:    %llu / %llu\n"
       "  fd index hits / misses:   %llu / %llu\n"
       "  pred hash hits / misses:  %llu / %llu\n",
-      static_cast<unsigned long long>(s.fragment_hits),
-      static_cast<unsigned long long>(s.fragment_misses),
       static_cast<unsigned long long>(s.segment_hits),
       static_cast<unsigned long long>(s.segment_misses),
       static_cast<unsigned long long>(s.fd_index_hits),

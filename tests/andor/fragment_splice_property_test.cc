@@ -1,8 +1,8 @@
-// Randomised sweeps over the differential front half (DESIGN.md, D12):
-// after any chain of single-cone edits, an analyzer that splices cached
-// And-Or fragments, adornment sets and FD indexes back into its build
-// must produce a system *isomorphic* to a from-scratch build of the
-// same program — same rendered system, and bit-identical verdicts,
+// Randomised sweeps over the warm build path (DESIGN.md, D12 and D15):
+// after any chain of single-cone edits, an analyzer that grafts cached
+// node-table segments and reuses adornment sets and FD indexes in its
+// build must produce a system *isomorphic* to a from-scratch build of
+// the same program — same rendered system, and bit-identical verdicts,
 // explanations and step counts for every query. A second battery runs
 // concurrent Update() against pinned-snapshot checks under a shared
 // cache (the TSan job runs this binary).
@@ -34,7 +34,7 @@ Program MustParse(const std::string& text) {
 /// bench_incremental family) whose grounding clause comes in several
 /// structurally different variants. Bumping one module's variant is a
 /// single-cone edit: that module's ring re-fingerprints, every other
-/// module stays clean and must splice.
+/// module stays clean and must be grafted.
 struct Workload {
   int modules;
   int ring;
@@ -102,8 +102,8 @@ void ExpectSameAnalyses(const std::vector<QueryAnalysis>& warm,
 class FragmentSplicePropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
-// P1. Splice isomorphism: across a random chain of single-cone edits,
-// the spliced system renders identically to a from-scratch build, and
+// P1. Warm isomorphism: across a random chain of single-cone edits,
+// the warm system renders identically to a from-scratch build, and
 // every query's verdict/explanation/steps are bit-identical.
 TEST_P(FragmentSplicePropertyTest, SplicedSystemIsomorphicToFresh) {
   Rng rng(GetParam());
@@ -114,23 +114,19 @@ TEST_P(FragmentSplicePropertyTest, SplicedSystemIsomorphicToFresh) {
   opts.cache = &cache;
   auto warm = SafetyAnalyzer::Create(MustParse(w.Render()), opts);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  warm->AnalyzeQueries();  // prime the fragment tier
+  warm->AnalyzeQueries();  // prime the segment tier
 
   for (int edit = 0; edit < 4; ++edit) {
     w.variant[rng.Below(w.modules)]++;
     std::string text = w.Render();
     Program next = MustParse(text);
 
-    uint64_t spliced_before = warm->counters().fragments_spliced;
     uint64_t grafted_before = warm->counters().segments_grafted;
     auto up = warm->Update(next);
     ASSERT_TRUE(up.ok()) << up.status().ToString();
-    // A single-cone edit leaves every other module clean: its fragments
-    // must come back out of the cache, not be rebuilt.
-    EXPECT_GT(warm->counters().fragments_spliced, spliced_before)
-        << "edit " << edit << " spliced nothing in:\n" << text;
-    // Likewise each clean module's node-table segment must be grafted
-    // wholesale, never re-interned or rejected by validation.
+    // A single-cone edit leaves every other module clean: its node-table
+    // segment must be grafted wholesale, never re-interned or rejected
+    // by validation.
     EXPECT_GT(warm->counters().segments_grafted, grafted_before)
         << "edit " << edit << " grafted nothing in:\n" << text;
     EXPECT_EQ(warm->counters().segment_grafts_rejected, 0u)
@@ -141,14 +137,14 @@ TEST_P(FragmentSplicePropertyTest, SplicedSystemIsomorphicToFresh) {
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
     EXPECT_EQ(warm->system().ToString(warm->canonical()),
               cold->system().ToString(cold->canonical()))
-        << "spliced system diverged after edit " << edit << " in:\n"
+        << "warm system diverged after edit " << edit << " in:\n"
         << text;
     ExpectSameAnalyses(warm->AnalyzeQueries(), cold->AnalyzeQueries(),
                        text);
   }
 }
 
-// P2. Concurrent Update() + pinned-snapshot checks with fragment reuse:
+// P2. Concurrent Update() + pinned-snapshot checks with segment reuse:
 // readers pin a snapshot and keep answering from it (bit-stable) while
 // a writer swaps edited programs underneath through the shared cache.
 TEST_P(FragmentSplicePropertyTest, ConcurrentUpdatesWithPinnedChecks) {
@@ -186,11 +182,9 @@ TEST_P(FragmentSplicePropertyTest, ConcurrentUpdatesWithPinnedChecks) {
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
-  // The swaps really did reuse fragments from the shared tier — and the
-  // segment tier: clean modules' node-table spans were grafted from
-  // segments shared with the snapshots the readers were pinning.
-  EXPECT_GT(analyzer->counters().fragments_spliced, 0u);
-  EXPECT_GT(cache.stats().fragment_hits, 0u);
+  // The swaps really did reuse the shared segment tier: clean modules'
+  // node-table spans were grafted from segments shared with the
+  // snapshots the readers were pinning.
   EXPECT_GT(analyzer->counters().segments_grafted, 0u);
   EXPECT_GT(cache.stats().segment_hits, 0u);
 }

@@ -313,61 +313,6 @@ TEST(PipelineCacheTest, InvalidationCounter) {
   EXPECT_EQ(cache.stats().cones_invalidated, 5u);
 }
 
-std::shared_ptr<const ConeFragment> OneRuleCone(uint64_t guard) {
-  auto cone = std::make_shared<ConeFragment>();
-  cone->rules.emplace_back();
-  cone->rules.back().guard = guard;
-  return cone;
-}
-
-TEST(PipelineCacheTest, FragmentTierRoundtripAndKeyStructure) {
-  PipelineCache cache;
-  CacheKey key = PipelineCache::FragmentKey(42, /*use_fd_closure=*/true);
-  EXPECT_EQ(cache.LookupFragments(key), nullptr);
-  cache.StoreFragments(key, OneRuleCone(7));
-  std::shared_ptr<const ConeFragment> hit = cache.LookupFragments(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->rules.size(), 1u);
-  EXPECT_EQ(hit->rules[0].guard, 7u);
-  // The closure mode is part of the key: the same cone fingerprint
-  // built without FD closure is a distinct entry.
-  EXPECT_EQ(cache.LookupFragments(
-                PipelineCache::FragmentKey(42, /*use_fd_closure=*/false)),
-            nullptr);
-  PipelineCacheStats s = cache.stats();
-  EXPECT_EQ(s.fragment_hits, 1u);
-  EXPECT_EQ(s.fragment_misses, 2u);
-  EXPECT_EQ(s.fragment_insertions, 1u);
-}
-
-TEST(PipelineCacheTest, FragmentTierKeepsIncumbentOnRacingStore) {
-  // Entries are content-addressed; a second store under the same key is
-  // a racing builder's equivalent cone. The incumbent must survive so
-  // outstanding pins and new lookups agree on one object.
-  PipelineCache cache;
-  CacheKey key = PipelineCache::FragmentKey(7, true);
-  cache.StoreFragments(key, OneRuleCone(1));
-  std::shared_ptr<const ConeFragment> pinned = cache.LookupFragments(key);
-  cache.StoreFragments(key, OneRuleCone(1));
-  EXPECT_EQ(cache.LookupFragments(key).get(), pinned.get());
-  EXPECT_EQ(cache.stats().fragment_insertions, 1u);
-}
-
-TEST(PipelineCacheTest, FragmentTierEvictsLruButPinsStayAlive) {
-  PipelineCache cache;
-  for (uint64_t i = 0; i < 1500; ++i) {
-    cache.StoreFragments(PipelineCache::FragmentKey(i, true), OneRuleCone(i));
-  }
-  PipelineCacheStats s = cache.stats();
-  EXPECT_EQ(s.fragment_insertions, 1500u);
-  EXPECT_GT(s.fragment_evictions, 0u);
-  // The oldest entries are gone, the newest are still present.
-  EXPECT_EQ(cache.LookupFragments(PipelineCache::FragmentKey(0, true)),
-            nullptr);
-  EXPECT_NE(cache.LookupFragments(PipelineCache::FragmentKey(1499, true)),
-            nullptr);
-}
-
 std::shared_ptr<const NodeTableSegment> OneNodeSegment(uint32_t tag) {
   auto seg = std::make_shared<NodeTableSegment>();
   seg->num_pred_slots = 1;

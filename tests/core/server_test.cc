@@ -239,6 +239,52 @@ TEST(ServerTest, StatsReportsCounters) {
   EXPECT_GE(stats["result"]["analyzer"]["positions_analyzed"].AsInt(), 1);
 }
 
+std::vector<std::string> Keys(const Json& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.members()) keys.push_back(key);
+  return keys;
+}
+
+// The field names of the `stats` reply are a public surface: adding or
+// removing one must show up here.
+TEST(ServerTest, StatsReplyFieldNamesArePinned) {
+  PipelineCache cache;
+  ServerOptions opts;
+  opts.cache = &cache;
+  Server server(std::move(opts));
+  server.HandleLine(CheckRequest(1, kSafeProgram));
+  Json stats = MustParseReply(
+      server.HandleLine("{\"id\": 2, \"method\": \"stats\"}"));
+  ASSERT_TRUE(stats["ok"].AsBool()) << stats.Dump();
+  const Json& result = stats["result"];
+  EXPECT_EQ(Keys(result),
+            (std::vector<std::string>{"analyzer", "cache", "server"}));
+  EXPECT_EQ(Keys(result["analyzer"]),
+            (std::vector<std::string>{
+                "positions_analyzed", "subset_searches", "steps",
+                "memo_hits", "memo_misses", "cache_hits", "cache_misses",
+                "snapshot_swaps", "stage_canonicalize_ns",
+                "stage_fingerprint_ns", "stage_fd_ns", "stage_adorn_ns",
+                "stage_build_ns", "stage_prune_ns", "stage_scc_ns",
+                "stage_search_ns", "segments_total", "segments_grafted",
+                "segment_grafts_rejected", "segments_encoded",
+                "nodes_shared", "nodes_owned", "node_table_peak_nodes",
+                "node_table_peak_bytes"}));
+  EXPECT_EQ(Keys(result["cache"]),
+            (std::vector<std::string>{
+                "verdict_hits", "verdict_misses", "disk_hits",
+                "disk_misses", "disk_corrupt", "disk_write_failures",
+                "disk_write_skips", "disk_retry_attempts",
+                "lease_acquisitions", "torn_tails_repaired",
+                "manifest_generation", "manifest_rollbacks", "segment_hits",
+                "segment_misses", "segment_insertions", "segment_evictions",
+                "fd_index_hits", "fd_index_misses", "pred_hash_hits",
+                "pred_hash_misses"}));
+  EXPECT_EQ(Keys(result["server"]),
+            (std::vector<std::string>{"requests", "served", "errors",
+                                      "shed", "workers"}));
+}
+
 TEST(ServerTest, ServeLoopRepliesOncePerLineAndStopsOnShutdown) {
   ServerOptions opts;
   Server server(std::move(opts));

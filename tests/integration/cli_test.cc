@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "util/json.h"
 #include "util/strings.h"
 
 #ifndef HORNSAFE_CLI_PATH
@@ -272,6 +274,53 @@ TEST(CliTest, CheckWithCacheDirWarmRunHits) {
             std::string::npos)
       << warm.output;
   ASSERT_EQ(system(rm.c_str()), 0);
+}
+
+std::vector<std::string> Keys(const Json& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.members()) keys.push_back(key);
+  return keys;
+}
+
+// The field names of `check --stats-json` are a public surface: adding
+// or removing one must show up here.
+TEST(CliTest, StatsJsonFieldNamesArePinned) {
+  CliResult r =
+      RunCli(StrCat("check --stats-json ", ProgramPath("ancestor.hs")));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  // The JSON object is the last line of the output.
+  size_t begin = r.output.rfind("\n{");
+  ASSERT_NE(begin, std::string::npos) << r.output;
+  Result<Json> parsed = Json::Parse(r.output.substr(begin + 1));
+  ASSERT_TRUE(parsed.ok()) << r.output;
+  const Json& root = *parsed;
+  EXPECT_EQ(Keys(root), (std::vector<std::string>{"analyzer", "cache"}));
+  EXPECT_EQ(Keys(root["analyzer"]),
+            (std::vector<std::string>{
+                "positions_analyzed", "subset_searches", "steps",
+                "graphs_checked", "memo_hits", "memo_misses",
+                "scc_short_circuits", "parallel_tasks", "serial_tasks",
+                "cache_hits", "cache_misses", "segments_total",
+                "segments_grafted", "segment_grafts_rejected",
+                "segments_encoded", "nodes_shared", "nodes_owned",
+                "node_table_peak_nodes", "node_table_peak_bytes",
+                "stages"}));
+  EXPECT_EQ(Keys(root["analyzer"]["stages"]),
+            (std::vector<std::string>{"canonicalize_ns", "fingerprint_ns",
+                                      "fd_ns", "adorn_ns", "build_ns",
+                                      "prune_ns", "scc_ns", "search_ns"}));
+  EXPECT_EQ(Keys(root["cache"]),
+            (std::vector<std::string>{
+                "verdict_hits", "verdict_misses", "verdict_insertions",
+                "verdict_evictions", "disk_hits", "disk_misses",
+                "disk_corrupt", "disk_write_failures", "cones_invalidated",
+                "canon_hits", "canon_misses", "emptiness_hits",
+                "emptiness_misses", "segment_hits", "segment_misses",
+                "segment_insertions", "segment_evictions", "fd_index_hits",
+                "fd_index_misses", "pred_hash_hits", "pred_hash_misses",
+                "lease_acquisitions", "torn_tails_repaired",
+                "manifest_generation", "manifest_rollbacks",
+                "compactions_run"}));
 }
 
 TEST(CliTest, CheckNoCacheMatchesCachedVerdicts) {
