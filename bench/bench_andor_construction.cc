@@ -1,11 +1,12 @@
-// Algorithm 2 (And-Or_H construction) cost — experiment E4. The paper
-// notes there are up to 2^n adornments of an n-place head, so the
-// arity sweep is exponential by design; the rule-count sweep at fixed
-// arity is linear.
+// Algorithm 2 (And-Or_H construction) and condensation cost —
+// experiments E4 and E22. The paper notes there are up to 2^n
+// adornments of an n-place head, so the arity sweeps are exponential
+// by design; the rule-count sweep at fixed arity is linear.
 
 #include <benchmark/benchmark.h>
 
 #include "andor/build.h"
+#include "andor/scc.h"
 #include "bench/bench_util.h"
 
 namespace hornsafe {
@@ -34,6 +35,21 @@ void BM_BuildSystemArity(benchmark::State& state) {
   state.counters["rules"] = static_cast<double>(s->num_rules());
 }
 BENCHMARK(BM_BuildSystemArity)->DenseRange(1, 8, 1);
+
+void BM_SccArity(benchmark::State& state) {
+  // The condensation stage over the system BM_BuildSystemArity builds:
+  // capability worklist, union-graph Tarjan and the reach bitsets.
+  Program p = bench::WideHead(static_cast<int>(state.range(0)));
+  auto h = BuildAdornedProgram(p);
+  auto s = BuildAndOrSystem(p, *h);
+  for (auto _ : state) {
+    SccAnalysis a = SccAnalysis::Compute(*s);
+    benchmark::DoNotOptimize(a);
+  }
+  state.counters["sccs"] =
+      static_cast<double>(SccAnalysis::Compute(*s).num_sccs());
+}
+BENCHMARK(BM_SccArity)->DenseRange(1, 8, 1);
 
 void BM_BuildSystemChainDepth(benchmark::State& state) {
   Program p = bench::GuardedChain(static_cast<int>(state.range(0)));

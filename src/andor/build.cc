@@ -95,8 +95,20 @@ class SystemBuilder {
 
   // --- Algorithm 2 --------------------------------------------------------
 
-  NodeId Var(const AdornedRule& ar, TermId v) {
-    return system_.InternVariable(ar.adorned_index, v);
+  /// The node of the rule's variable in slot `slot` of rule_vars_,
+  /// interned on first use: the lazy order keeps node numbering that of
+  /// one InternVariable call per use, at one hash lookup per variable.
+  NodeId Var(const AdornedRule& ar, uint32_t slot) {
+    NodeId& node = var_nodes_[slot];
+    if (node == kInvalidNode) {
+      node = system_.InternVariable(ar.adorned_index, rule_vars_[slot]);
+    }
+    return node;
+  }
+
+  /// Variable slot of argument `k` of body occurrence `occ_idx`.
+  uint32_t BodySlot(size_t occ_idx, uint32_t k) const {
+    return arg_slots_[occ_slot_begin_[occ_idx] + k];
   }
 
   NodeId BodyArg(const AdornedRule& ar, size_t occ_idx, uint32_t k) {
@@ -106,21 +118,35 @@ class SystemBuilder {
                                  occ.kind == PredicateKind::kInfiniteBase);
   }
 
-  void Emit(PropRule rule) { system_.AddRule(std::move(rule)); }
+  void Emit(NodeId head, NodeId body, uint32_t source) {
+    system_.AddRule(head, {body}, source);
+  }
 
   /// Distinct variables of the rule in first-occurrence order (head
   /// first, then body left to right): the order step 2 visits them in.
+  /// Alongside, the slot of every argument (head args first, then each
+  /// body occurrence's), so later steps never search rule_vars_.
   void ComputeRuleVars(const AdornedRule& ar) {
     rule_vars_.clear();
+    arg_slots_.clear();
+    occ_slot_begin_.clear();
     auto note = [&](TermId v) {
-      if (std::find(rule_vars_.begin(), rule_vars_.end(), v) ==
-          rule_vars_.end()) {
-        rule_vars_.push_back(v);
-      }
+      auto it = std::find(rule_vars_.begin(), rule_vars_.end(), v);
+      arg_slots_.push_back(static_cast<uint32_t>(it - rule_vars_.begin()));
+      if (it == rule_vars_.end()) rule_vars_.push_back(v);
     };
     for (TermId a : ar.head.args) note(a);
     for (const BodyOccurrence& occ : ar.body) {
+      occ_slot_begin_.push_back(static_cast<uint32_t>(arg_slots_.size()));
       for (TermId a : occ.lit.args) note(a);
+    }
+    var_nodes_.assign(rule_vars_.size(), kInvalidNode);
+  }
+
+  /// Appends `slot` to `slots` unless already present.
+  static void NoteSlot(std::vector<uint32_t>& slots, uint32_t slot) {
+    if (std::find(slots.begin(), slots.end(), slot) == slots.end()) {
+      slots.push_back(slot);
     }
   }
 
@@ -145,16 +171,17 @@ class SystemBuilder {
       NodeId head =
           system_.InternHeadArg(ar.head_pred, ar.adornment.bound_mask, k);
       if (ar.adornment.IsBound(k)) {
-        Emit(PropRule{head, {system_.zero()}, ar.adorned_index});
+        Emit(head, system_.zero(), ar.adorned_index);
       } else {
-        Emit(PropRule{head, {Var(ar, ar.head.args[k])}, ar.adorned_index});
+        Emit(head, Var(ar, arg_slots_[k]), ar.adorned_index);
       }
     }
   }
 
   void Step2Variables(const AdornedRule& ar) {
-    for (TermId v : rule_vars_) {
-      NodeId var_node = Var(ar, v);
+    for (uint32_t slot = 0; slot < rule_vars_.size(); ++slot) {
+      const TermId v = rule_vars_[slot];
+      NodeId var_node = Var(ar, slot);
       // Bound head positions and finite-base occurrences ground the
       // variable outright.
       bool grounded = false;
@@ -171,65 +198,60 @@ class SystemBuilder {
         }
       }
       if (grounded) {
-        Emit(PropRule{var_node, {system_.zero()}, ar.adorned_index});
+        Emit(var_node, system_.zero(), ar.adorned_index);
         continue;
       }
       // C_X: every derived/infinite body argument the variable occurs in.
-      std::vector<NodeId> conjunct;
+      conjunct_.clear();
       for (size_t occ_idx = 0; occ_idx < ar.body.size(); ++occ_idx) {
         const BodyOccurrence& occ = ar.body[occ_idx];
         if (occ.kind == PredicateKind::kFiniteBase) continue;
         for (uint32_t k = 0; k < occ.lit.args.size(); ++k) {
           if (occ.lit.args[k] == v) {
-            conjunct.push_back(BodyArg(ar, occ_idx, k));
+            conjunct_.push_back(BodyArg(ar, occ_idx, k));
           }
         }
       }
-      if (conjunct.empty()) {
+      if (conjunct_.empty()) {
         // The variable occurs only in free head positions: it ranges over
         // the entire (infinite) domain.
-        Emit(PropRule{var_node, {system_.one()}, ar.adorned_index});
+        Emit(var_node, system_.one(), ar.adorned_index);
       } else {
-        Emit(PropRule{var_node, std::move(conjunct), ar.adorned_index});
+        system_.AddRule(var_node, conjunct_, ar.adorned_index);
       }
     }
   }
 
   void Step3DerivedOccurrence(const AdornedRule& ar, size_t occ_idx) {
     const BodyOccurrence& occ = ar.body[occ_idx];
+    const uint32_t arity = static_cast<uint32_t>(occ.lit.args.size());
     const std::vector<Adornment>& adornments =
         adornment_cache_.For(program_.terms(), occ.lit);
-    for (uint32_t k = 0; k < occ.lit.args.size(); ++k) {
+    for (uint32_t k = 0; k < arity; ++k) {
       NodeId arg_node = BodyArg(ar, occ_idx, k);
-      std::vector<NodeId> conjunct;
+      conjunct_.clear();
       for (const Adornment& a1 : adornments) {
         if (a1.IsBound(k)) continue;
         NodeId adorned_node = system_.InternBodyArgAdorned(
             occ.occurrence_id, a1.bound_mask, k, occ.lit.pred,
             ar.adorned_index);
-        conjunct.push_back(adorned_node);
+        conjunct_.push_back(adorned_node);
         // The strategy is inapplicable if a bound variable is unsafe.
-        std::vector<TermId> bound_vars;
-        for (uint32_t j = 0; j < occ.lit.args.size(); ++j) {
-          if (a1.IsBound(j)) {
-            TermId y = occ.lit.args[j];
-            if (std::find(bound_vars.begin(), bound_vars.end(), y) ==
-                bound_vars.end()) {
-              bound_vars.push_back(y);
-            }
-          }
+        bound_slots_.clear();
+        for (uint32_t j = 0; j < arity; ++j) {
+          if (a1.IsBound(j)) NoteSlot(bound_slots_, BodySlot(occ_idx, j));
         }
-        for (TermId y : bound_vars) {
-          Emit(PropRule{adorned_node, {Var(ar, y)}, ar.adorned_index});
+        for (uint32_t y : bound_slots_) {
+          Emit(adorned_node, Var(ar, y), ar.adorned_index);
         }
         // Even with safe bindings, the callee's adorned head may be
         // unsafe.
         NodeId callee = system_.InternHeadArg(occ.lit.pred, a1.bound_mask, k);
-        Emit(PropRule{adorned_node, {callee}, ar.adorned_index});
+        Emit(adorned_node, callee, ar.adorned_index);
       }
       // k is free in the all-free adornment, so the conjunct is never
       // empty.
-      Emit(PropRule{arg_node, std::move(conjunct), ar.adorned_index});
+      system_.AddRule(arg_node, conjunct_, ar.adorned_index);
     }
   }
 
@@ -272,33 +294,30 @@ class SystemBuilder {
           DeterminantsFor(occ.lit.pred, arity, k);
       if (determinants.empty()) {
         // No dependency restricts this argument: unsafe leaf.
-        Emit(PropRule{arg_node, {system_.one()}, ar.adorned_index});
+        Emit(arg_node, system_.one(), ar.adorned_index);
         continue;
       }
-      std::vector<NodeId> conjunct;
+      conjunct_.clear();
       for (uint32_t i = 0; i < determinants.size(); ++i) {
         NodeId choice = system_.InternFdChoice(occ.occurrence_id, k, i,
                                                occ.lit.pred, ar.adorned_index);
-        conjunct.push_back(choice);
+        conjunct_.push_back(choice);
         if (determinants[i].Empty()) {
           // An empty antecedent is always applicable: the argument is
           // finite outright through this dependency.
-          Emit(PropRule{choice, {system_.zero()}, ar.adorned_index});
+          Emit(choice, system_.zero(), ar.adorned_index);
           continue;
         }
-        std::vector<TermId> antecedent_vars;
-        for (uint32_t j : determinants[i].ToVector()) {
-          TermId y = occ.lit.args[j];
-          if (std::find(antecedent_vars.begin(), antecedent_vars.end(), y) ==
-              antecedent_vars.end()) {
-            antecedent_vars.push_back(y);
-          }
+        bound_slots_.clear();
+        for (uint64_t b = determinants[i].bits(); b != 0; b &= b - 1) {
+          const uint32_t j = static_cast<uint32_t>(__builtin_ctzll(b));
+          NoteSlot(bound_slots_, BodySlot(occ_idx, j));
         }
-        for (TermId y : antecedent_vars) {
-          Emit(PropRule{choice, {Var(ar, y)}, ar.adorned_index});
+        for (uint32_t y : bound_slots_) {
+          Emit(choice, Var(ar, y), ar.adorned_index);
         }
       }
-      Emit(PropRule{arg_node, std::move(conjunct), ar.adorned_index});
+      system_.AddRule(arg_node, conjunct_, ar.adorned_index);
     }
   }
 
@@ -308,8 +327,17 @@ class SystemBuilder {
   AndOrSystem system_;
   AdornmentCache adornment_cache_;
   std::unordered_map<PredicateId, FdClosureIndex> fd_index_;
-  /// Distinct variables of the rule being processed.
+  /// Distinct variables of the rule being processed, their nodes
+  /// (kInvalidNode until first use), the variable slot of every head
+  /// and body argument, and where each body occurrence's slots start.
   std::vector<TermId> rule_vars_;
+  std::vector<NodeId> var_nodes_;
+  std::vector<uint32_t> arg_slots_;
+  std::vector<uint32_t> occ_slot_begin_;
+  /// Reused scratch: the conjunct being assembled and the distinct
+  /// variable slots bound by one adornment or determinant.
+  std::vector<NodeId> conjunct_;
+  std::vector<uint32_t> bound_slots_;
 };
 
 }  // namespace

@@ -6,19 +6,45 @@ namespace hornsafe {
 
 namespace {
 
+/// Nodes 0 and 1 are the terminals of every system (AndOrSystem's
+/// constructor interns them first).
 bool IsTerminal(const AndOrSystem& system, NodeId n) {
-  PropNodeKind k = system.node(n).kind;
-  return k == PropNodeKind::kZero || k == PropNodeKind::kOne;
+  return n == system.zero() || n == system.one();
 }
 
-/// Iterative Tarjan over an adjacency list restricted to the nodes with
+/// Compressed sparse rows: row v is targets[offsets[v], offsets[v + 1]).
+struct Csr {
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> targets;
+
+  uint32_t begin(uint32_t v) const { return offsets[v]; }
+  uint32_t end(uint32_t v) const { return offsets[v + 1]; }
+};
+
+/// Groups `n` items by key (key < 0: no group) into CSR rows, items
+/// ascending within each row.
+Csr GroupBy(const std::vector<int32_t>& key, int32_t num_keys) {
+  Csr out;
+  out.offsets.assign(static_cast<size_t>(num_keys) + 1, 0);
+  for (int32_t k : key) {
+    if (k >= 0) ++out.offsets[k + 1];
+  }
+  for (int32_t k = 0; k < num_keys; ++k) out.offsets[k + 1] += out.offsets[k];
+  out.targets.resize(out.offsets[num_keys]);
+  std::vector<uint32_t> fill(out.offsets.begin(), out.offsets.end() - 1);
+  for (uint32_t i = 0; i < key.size(); ++i) {
+    if (key[i] >= 0) out.targets[fill[key[i]]++] = i;
+  }
+  return out;
+}
+
+/// Iterative Tarjan over CSR adjacency restricted to the nodes with
 /// `in_graph[v]` set. Components are numbered in pop order, so every
 /// edge leaving a component points at a smaller component id (reverse
 /// topological numbering). Returns the number of components.
-int32_t TarjanScc(const std::vector<std::vector<NodeId>>& adj,
-                  const std::vector<char>& in_graph,
+int32_t TarjanScc(const Csr& adj, const std::vector<char>& in_graph,
                   std::vector<int32_t>* comp) {
-  const size_t n = adj.size();
+  const uint32_t n = static_cast<uint32_t>(in_graph.size());
   comp->assign(n, -1);
   std::vector<int32_t> index(n, -1);
   std::vector<int32_t> low(n, 0);
@@ -27,27 +53,27 @@ int32_t TarjanScc(const std::vector<std::vector<NodeId>>& adj,
   int32_t next_index = 0;
   int32_t num_components = 0;
 
-  // Explicit DFS frame: node + position within its adjacency list.
+  // Explicit DFS frame: node + next position within its adjacency row.
   struct Frame {
     NodeId v;
-    size_t child;
+    uint32_t next;
   };
   std::vector<Frame> frames;
 
   for (NodeId root = 0; root < n; ++root) {
     if (!in_graph[root] || index[root] >= 0) continue;
-    frames.push_back({root, 0});
+    frames.push_back({root, adj.begin(root)});
     index[root] = low[root] = next_index++;
     stack.push_back(root);
     on_stack[root] = 1;
     while (!frames.empty()) {
       Frame& f = frames.back();
       NodeId v = f.v;
-      if (f.child < adj[v].size()) {
-        NodeId w = adj[v][f.child++];
+      if (f.next < adj.end(v)) {
+        NodeId w = adj.targets[f.next++];
         if (!in_graph[w]) continue;
         if (index[w] < 0) {
-          frames.push_back({w, 0});
+          frames.push_back({w, adj.begin(w)});
           index[w] = low[w] = next_index++;
           stack.push_back(w);
           on_stack[w] = 1;
@@ -76,6 +102,208 @@ int32_t TarjanScc(const std::vector<std::vector<NodeId>>& adj,
   return num_components;
 }
 
+/// True iff no rule edge crosses the range boundary (terminals excepted
+/// — they belong to no slice and are handled symbolically).
+bool RangeClosed(const AndOrSystem& system, uint32_t node_begin,
+                 uint32_t node_end, uint32_t rule_begin, uint32_t rule_end) {
+  auto in_span = [&](NodeId v) { return v >= node_begin && v < node_end; };
+  for (uint32_t ri = rule_begin; ri < rule_end; ++ri) {
+    const PropRule r = system.rule(ri);
+    if (!IsTerminal(system, r.head) && !in_span(r.head)) return false;
+    for (NodeId b : r.body) {
+      if (!IsTerminal(system, b) && !in_span(b)) return false;
+    }
+  }
+  for (NodeId v = node_begin; v < node_end; ++v) {
+    if (IsTerminal(system, v)) continue;
+    for (uint32_t ri : system.RulesFor(v)) {
+      if (ri < rule_begin || ri >= rule_end) return false;
+    }
+  }
+  return true;
+}
+
+/// The analysis of a closed node/rule range, in range-relative
+/// coordinates (the body of ComputeSlice once closure is established).
+SccSlice AnalyzeRange(const AndOrSystem& system, uint32_t node_begin,
+                      uint32_t node_end, uint32_t rule_begin,
+                      uint32_t rule_end) {
+  SccSlice out;
+  const uint32_t n = node_end - node_begin;
+  const uint32_t num_rules = rule_end - rule_begin;
+  out.num_nodes = n;
+  out.num_rules = num_rules;
+
+  // 1. Capability greatest fixpoint: a node can appear in a 0-free
+  // completion iff some live rule for it avoids the 0-node and has
+  // all-capable non-terminal members. Counting worklist: every live
+  // rule without 0 starts usable, each node counts its usable rules,
+  // and a node whose count drops to 0 turns incapable and kills the
+  // rules it occurs in. Linear in the rule sizes; the greatest fixpoint
+  // is unique, so this is exactly the pass-until-stable result. A
+  // closed range only reads capabilities inside the range, so the local
+  // fixpoint is the global one restricted.
+  out.capable.assign(n, 1);
+  out.rule_usable.assign(num_rules, 0);
+  std::vector<uint32_t> usable_count(n, 0);
+  Csr occurs_in;  // local node -> usable rules it occurs in
+  occurs_in.offsets.assign(static_cast<size_t>(n) + 1, 0);
+  for (NodeId v = node_begin; v < node_end; ++v) {
+    if (IsTerminal(system, v)) continue;
+    for (uint32_t ri : system.RulesFor(v)) {
+      const PropRule r = system.rule(ri);
+      if (std::find(r.body.begin(), r.body.end(), system.zero()) !=
+          r.body.end()) {
+        continue;
+      }
+      out.rule_usable[ri - rule_begin] = 1;
+      ++usable_count[v - node_begin];
+      for (NodeId b : r.body) {
+        if (!IsTerminal(system, b)) ++occurs_in.offsets[b - node_begin + 1];
+      }
+    }
+  }
+  for (uint32_t lv = 0; lv < n; ++lv) {
+    occurs_in.offsets[lv + 1] += occurs_in.offsets[lv];
+  }
+  occurs_in.targets.resize(occurs_in.offsets[n]);
+  {
+    std::vector<uint32_t> fill(occurs_in.offsets.begin(),
+                               occurs_in.offsets.end() - 1);
+    for (uint32_t lr = 0; lr < num_rules; ++lr) {
+      if (!out.rule_usable[lr]) continue;
+      for (NodeId b : system.rule(rule_begin + lr).body) {
+        if (!IsTerminal(system, b)) {
+          occurs_in.targets[fill[b - node_begin]++] = lr;
+        }
+      }
+    }
+  }
+  std::vector<uint32_t> dead;
+  for (NodeId v = node_begin; v < node_end; ++v) {
+    if (!IsTerminal(system, v) && usable_count[v - node_begin] == 0) {
+      out.capable[v - node_begin] = 0;
+      dead.push_back(v - node_begin);
+    }
+  }
+  while (!dead.empty()) {
+    const uint32_t lb = dead.back();
+    dead.pop_back();
+    for (uint32_t i = occurs_in.begin(lb); i < occurs_in.end(lb); ++i) {
+      const uint32_t lr = occurs_in.targets[i];
+      if (!out.rule_usable[lr]) continue;
+      out.rule_usable[lr] = 0;
+      const uint32_t lh = system.rule(rule_begin + lr).head - node_begin;
+      if (--usable_count[lh] == 0) {
+        out.capable[lh] = 0;
+        dead.push_back(lh);
+      }
+    }
+  }
+
+  // 2. Union (demand) graph over capable non-terminal nodes, in local
+  // coordinates: an edge per usable-rule body membership, in rule then
+  // body order. F-nodes participate — they carry demand even though
+  // counted cycles never pass through them.
+  std::vector<char> in_graph(n, 0);
+  Csr adj;
+  adj.offsets.reserve(static_cast<size_t>(n) + 1);
+  adj.offsets.push_back(0);
+  for (NodeId v = node_begin; v < node_end; ++v) {
+    if (!IsTerminal(system, v) && out.capable[v - node_begin]) {
+      in_graph[v - node_begin] = 1;
+      for (uint32_t ri : system.RulesFor(v)) {
+        if (!out.rule_usable[ri - rule_begin]) continue;
+        for (NodeId b : system.rule(ri).body) {
+          if (!IsTerminal(system, b)) adj.targets.push_back(b - node_begin);
+        }
+      }
+    }
+    adj.offsets.push_back(static_cast<uint32_t>(adj.targets.size()));
+  }
+  out.num_sccs = TarjanScc(adj, in_graph, &out.scc_local);
+
+  // 3. F-free sub-SCCs: same edges minus f-node endpoints. A counted
+  // cycle (forward edge, no f-node) is possible exactly inside an
+  // f-free SCC containing a head-argument -> variable edge.
+  std::vector<char> in_ffree(n, 0);
+  for (uint32_t lv = 0; lv < n; ++lv) {
+    in_ffree[lv] = in_graph[lv] && !system.node(node_begin + lv).is_f_node;
+  }
+  std::vector<int32_t> ffs_id;
+  TarjanScc(adj, in_ffree, &ffs_id);
+
+  std::vector<char> cycle_possible(out.num_sccs, 0);
+  for (uint32_t lu = 0; lu < n; ++lu) {
+    if (!in_ffree[lu] ||
+        system.node(node_begin + lu).kind != PropNodeKind::kHeadArg) {
+      continue;
+    }
+    for (uint32_t i = adj.begin(lu); i < adj.end(lu); ++i) {
+      const uint32_t lv = adj.targets[i];
+      if (!in_ffree[lv]) continue;
+      if (system.node(node_begin + lv).kind != PropNodeKind::kVariable) {
+        continue;
+      }
+      if (ffs_id[lu] == ffs_id[lv]) cycle_possible[out.scc_local[lu]] = 1;
+    }
+  }
+
+  // 4. Propagate cycle possibility up the condensation. Components are
+  // numbered in reverse topological order (edges point at smaller ids),
+  // so one increasing sweep sees every successor first.
+  const Csr members = GroupBy(out.scc_local, out.num_sccs);
+  std::vector<char> reach_cycle = cycle_possible;
+  for (int32_t s = 0; s < out.num_sccs; ++s) {
+    for (uint32_t m = members.begin(s);
+         m < members.end(s) && !reach_cycle[s]; ++m) {
+      const uint32_t lv = members.targets[m];
+      for (uint32_t i = adj.begin(lv); i < adj.end(lv); ++i) {
+        const uint32_t lw = adj.targets[i];
+        if (!in_graph[lw]) continue;
+        int32_t t = out.scc_local[lw];
+        if (t != s && reach_cycle[t]) {
+          reach_cycle[s] = 1;
+          break;
+        }
+      }
+    }
+  }
+  out.cycle_reachable.assign(n, 0);
+  for (uint32_t lv = 0; lv < n; ++lv) {
+    if (out.scc_local[lv] >= 0) {
+      out.cycle_reachable[lv] = reach_cycle[out.scc_local[lv]];
+    }
+  }
+
+  // 5. Per-SCC reachability bitsets for the search's independence
+  // frontier. The slice always materialises its rows when it is narrow
+  // enough; Stitch re-applies the bound against the *global* SCC count
+  // and drops the rows when the stitched total is too wide.
+  if (out.num_sccs > 0 && out.num_sccs <= SccAnalysis::kMaxSccsForReach) {
+    out.reach_blocks = (static_cast<size_t>(out.num_sccs) + 63) / 64;
+    out.reach.assign(static_cast<size_t>(out.num_sccs) * out.reach_blocks,
+                     0);
+    for (int32_t s = 0; s < out.num_sccs; ++s) {
+      uint64_t* row = &out.reach[static_cast<size_t>(s) * out.reach_blocks];
+      row[s / 64] |= uint64_t{1} << (s % 64);
+      for (uint32_t m = members.begin(s); m < members.end(s); ++m) {
+        const uint32_t lv = members.targets[m];
+        for (uint32_t i = adj.begin(lv); i < adj.end(lv); ++i) {
+          const uint32_t lw = adj.targets[i];
+          if (!in_graph[lw]) continue;
+          int32_t t = out.scc_local[lw];
+          if (t == s) continue;
+          const uint64_t* trow =
+              &out.reach[static_cast<size_t>(t) * out.reach_blocks];
+          for (size_t w = 0; w < out.reach_blocks; ++w) row[w] |= trow[w];
+        }
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::optional<SccSlice> SccAnalysis::ComputeSlice(const AndOrSystem& system,
@@ -87,184 +315,12 @@ std::optional<SccSlice> SccAnalysis::ComputeSlice(const AndOrSystem& system,
       node_end > system.nodes().size() || rule_end > system.num_rules()) {
     return std::nullopt;
   }
-  SccSlice out;
-  const uint32_t n = node_end - node_begin;
-  const uint32_t num_rules = rule_end - rule_begin;
-  out.num_nodes = n;
-  out.num_rules = num_rules;
-
-  auto in_span = [&](NodeId v) { return v >= node_begin && v < node_end; };
-
-  // Closure check: the slice is the restriction of the global analysis
-  // only when no rule edge crosses the range boundary (terminals
-  // excepted — they belong to no slice and are handled symbolically).
-  for (uint32_t ri = rule_begin; ri < rule_end; ++ri) {
-    const PropRule& r = system.rule(ri);
-    if (!IsTerminal(system, r.head) && !in_span(r.head)) return std::nullopt;
-    for (NodeId b : r.body) {
-      if (!IsTerminal(system, b) && !in_span(b)) return std::nullopt;
-    }
+  // The slice is the restriction of the global analysis only when the
+  // range is closed.
+  if (!RangeClosed(system, node_begin, node_end, rule_begin, rule_end)) {
+    return std::nullopt;
   }
-  for (NodeId v = node_begin; v < node_end; ++v) {
-    if (IsTerminal(system, v)) continue;
-    for (uint32_t ri : system.RulesFor(v)) {
-      if (ri < rule_begin || ri >= rule_end) return std::nullopt;
-    }
-  }
-
-  // 1. Capability greatest fixpoint: a node can appear in a 0-free
-  // completion iff some live rule for it avoids the 0-node and has
-  // all-capable non-terminal members. The fixpoint of a closed range
-  // only reads capabilities inside the range, so the local fixpoint is
-  // exactly the global one restricted.
-  out.capable.assign(n, 1);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId v = node_begin; v < node_end; ++v) {
-      if (!out.capable[v - node_begin] || IsTerminal(system, v)) continue;
-      bool has_usable = false;
-      for (uint32_t ri : system.RulesFor(v)) {
-        const PropRule& r = system.rule(ri);
-        bool usable = true;
-        for (NodeId b : r.body) {
-          if (b == system.zero() ||
-              (!IsTerminal(system, b) && !out.capable[b - node_begin])) {
-            usable = false;
-            break;
-          }
-        }
-        if (usable) {
-          has_usable = true;
-          break;
-        }
-      }
-      if (!has_usable) {
-        out.capable[v - node_begin] = 0;
-        changed = true;
-      }
-    }
-  }
-
-  // 2. Per-rule usability under the final capability map.
-  out.rule_usable.assign(num_rules, 0);
-  for (NodeId v = node_begin; v < node_end; ++v) {
-    if (IsTerminal(system, v)) continue;
-    for (uint32_t ri : system.RulesFor(v)) {
-      const PropRule& r = system.rule(ri);
-      bool usable = true;
-      for (NodeId b : r.body) {
-        if (b == system.zero() ||
-            (!IsTerminal(system, b) && !out.capable[b - node_begin])) {
-          usable = false;
-          break;
-        }
-      }
-      out.rule_usable[ri - rule_begin] = usable ? 1 : 0;
-    }
-  }
-
-  // 3. Union (demand) graph over capable non-terminal nodes, in local
-  // coordinates: an edge per usable-rule body membership. F-nodes
-  // participate — they carry demand even though counted cycles never
-  // pass through them.
-  std::vector<char> in_graph(n, 0);
-  std::vector<std::vector<NodeId>> adj(n);
-  for (NodeId v = node_begin; v < node_end; ++v) {
-    if (IsTerminal(system, v) || !out.capable[v - node_begin]) continue;
-    const uint32_t lv = v - node_begin;
-    in_graph[lv] = 1;
-    for (uint32_t ri : system.RulesFor(v)) {
-      if (!out.rule_usable[ri - rule_begin]) continue;
-      for (NodeId b : system.rule(ri).body) {
-        if (IsTerminal(system, b)) continue;
-        adj[lv].push_back(b - node_begin);
-      }
-    }
-  }
-  out.num_sccs = TarjanScc(adj, in_graph, &out.scc_local);
-
-  // 4. F-free sub-SCCs: same edges minus f-node endpoints. A counted
-  // cycle (forward edge, no f-node) is possible exactly inside an
-  // f-free SCC containing a head-argument -> variable edge.
-  std::vector<char> in_ffree(n, 0);
-  for (uint32_t lv = 0; lv < n; ++lv) {
-    in_ffree[lv] = in_graph[lv] && !system.node(node_begin + lv).is_f_node;
-  }
-  std::vector<int32_t> ffs_id;
-  TarjanScc(adj, in_ffree, &ffs_id);
-
-  std::vector<char> cycle_possible(out.num_sccs, 0);
-  for (NodeId u = node_begin; u < node_end; ++u) {
-    const uint32_t lu = u - node_begin;
-    if (!in_ffree[lu] || system.node(u).kind != PropNodeKind::kHeadArg) {
-      continue;
-    }
-    for (uint32_t ri : system.RulesFor(u)) {
-      if (!out.rule_usable[ri - rule_begin]) continue;
-      for (NodeId v : system.rule(ri).body) {
-        if (IsTerminal(system, v)) continue;
-        const uint32_t lv = v - node_begin;
-        if (!in_ffree[lv]) continue;
-        if (system.node(v).kind != PropNodeKind::kVariable) continue;
-        if (ffs_id[lu] == ffs_id[lv]) cycle_possible[out.scc_local[lu]] = 1;
-      }
-    }
-  }
-
-  // 5. Propagate cycle possibility up the condensation. Components are
-  // numbered in reverse topological order (edges point at smaller ids),
-  // so one increasing sweep sees every successor first.
-  std::vector<std::vector<NodeId>> scc_members(out.num_sccs);
-  for (uint32_t lv = 0; lv < n; ++lv) {
-    if (out.scc_local[lv] >= 0) scc_members[out.scc_local[lv]].push_back(lv);
-  }
-  std::vector<char> reach_cycle = cycle_possible;
-  for (int32_t s = 0; s < out.num_sccs; ++s) {
-    if (reach_cycle[s]) continue;
-    for (NodeId lv : scc_members[s]) {
-      for (NodeId lw : adj[lv]) {
-        if (!in_graph[lw]) continue;
-        int32_t t = out.scc_local[lw];
-        if (t != s && reach_cycle[t]) {
-          reach_cycle[s] = 1;
-          break;
-        }
-      }
-      if (reach_cycle[s]) break;
-    }
-  }
-  out.cycle_reachable.assign(n, 0);
-  for (uint32_t lv = 0; lv < n; ++lv) {
-    if (out.scc_local[lv] >= 0) {
-      out.cycle_reachable[lv] = reach_cycle[out.scc_local[lv]];
-    }
-  }
-
-  // 6. Per-SCC reachability bitsets for the search's independence
-  // frontier. The slice always materialises its rows when it is narrow
-  // enough; Stitch re-applies the bound against the *global* SCC count
-  // and drops the rows when the stitched total is too wide.
-  if (out.num_sccs > 0 && out.num_sccs <= kMaxSccsForReach) {
-    out.reach_blocks = (static_cast<size_t>(out.num_sccs) + 63) / 64;
-    out.reach.assign(static_cast<size_t>(out.num_sccs) * out.reach_blocks,
-                     0);
-    for (int32_t s = 0; s < out.num_sccs; ++s) {
-      uint64_t* row = &out.reach[static_cast<size_t>(s) * out.reach_blocks];
-      row[s / 64] |= uint64_t{1} << (s % 64);
-      for (NodeId lv : scc_members[s]) {
-        for (NodeId lw : adj[lv]) {
-          if (!in_graph[lw]) continue;
-          int32_t t = out.scc_local[lw];
-          if (t == s) continue;
-          const uint64_t* trow =
-              &out.reach[static_cast<size_t>(t) * out.reach_blocks];
-          for (size_t i = 0; i < out.reach_blocks; ++i) row[i] |= trow[i];
-        }
-      }
-    }
-  }
-  return out;
+  return AnalyzeRange(system, node_begin, node_end, rule_begin, rule_end);
 }
 
 std::optional<SccAnalysis> SccAnalysis::Stitch(
@@ -358,15 +414,22 @@ std::optional<SccAnalysis> SccAnalysis::Stitch(
 }
 
 SccAnalysis SccAnalysis::Compute(const AndOrSystem& system) {
-  // One full-range slice, stitched: trivially closed, so both steps
-  // always succeed, and the warm segment path shares every line of
-  // analysis code with this cold path.
-  std::optional<SccSlice> slice = SccAnalysis::ComputeSlice(
-      system, 0, static_cast<uint32_t>(system.nodes().size()), 0,
-      static_cast<uint32_t>(system.num_rules()));
-  std::vector<const SccSlice*> pieces{&*slice};
-  std::optional<SccAnalysis> out = SccAnalysis::Stitch(system, pieces);
-  return std::move(*out);
+  // The full range is closed by definition and its local coordinates
+  // are the global ones, so the one slice *is* the analysis: no closure
+  // check, no Stitch copy. Cold and warm paths still share every line
+  // of AnalyzeRange.
+  SccSlice slice =
+      AnalyzeRange(system, 0, static_cast<uint32_t>(system.nodes().size()), 0,
+                   static_cast<uint32_t>(system.num_rules()));
+  SccAnalysis out;
+  out.capable_ = std::move(slice.capable);
+  out.rule_usable_ = std::move(slice.rule_usable);
+  out.cycle_reachable_ = std::move(slice.cycle_reachable);
+  out.scc_id_ = std::move(slice.scc_local);
+  out.num_sccs_ = slice.num_sccs;
+  out.reach_blocks_ = slice.reach_blocks;
+  out.reach_ = std::move(slice.reach);
+  return out;
 }
 
 }  // namespace hornsafe

@@ -59,8 +59,10 @@ struct SccSlice {
 class SccAnalysis {
  public:
   /// Runs capability + condensation over the current live rules.
-  /// Implemented as one full-range slice stitched, so the cold path and
-  /// the segment-stitched warm path share every line of analysis code.
+  /// Implemented as the range analysis of ComputeSlice over the whole
+  /// system (closed by definition, so without the closure check or a
+  /// Stitch copy): the cold path and the segment-stitched warm path
+  /// share every line of analysis code.
   static SccAnalysis Compute(const AndOrSystem& system);
 
   /// Computes the analysis of one node/rule range in range-relative

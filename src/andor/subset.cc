@@ -125,7 +125,7 @@ int32_t ChosenScc::Visit(NodeId from) {
   enter(from);
   while (!frames_.empty()) {
     auto& [v, next] = frames_.back();
-    const std::vector<NodeId>& body = system_->rule(rule_of_[v]).body;
+    const std::span<const NodeId> body = system_->rule(rule_of_[v]).body;
     if (next < body.size()) {
       NodeId w = body[next++];
       if (!InSubgraph(w)) continue;

@@ -18,6 +18,20 @@ enum KeyTag : uint64_t {
   kTagFdChoice,
 };
 
+/// Content hash of a rule (head, then the body sequence), the tag of
+/// its RuleIdTable slot.
+uint32_t HashRule(NodeId head, std::span<const NodeId> body) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ body.size();
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 29;
+  };
+  mix(head);
+  for (NodeId b : body) mix(b);
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
 std::string AdornmentString(uint64_t mask, uint32_t arity) {
   std::string s;
   for (uint32_t k = 0; k < arity; ++k) s += ((mask >> k) & 1) ? 'b' : 'f';
@@ -25,13 +39,6 @@ std::string AdornmentString(uint64_t mask, uint32_t arity) {
 }
 
 }  // namespace
-
-size_t AndOrSystem::RuleKeyHash::operator()(
-    const std::vector<NodeId>& k) const {
-  size_t seed = k.size();
-  for (NodeId v : k) HashCombine(seed, std::hash<uint32_t>{}(v));
-  return seed;
-}
 
 AndOrSystem::AndOrSystem() {
   zero_ = AddNode(PropNode{PropNodeKind::kZero, kInvalidPredicate, 0, 0, 0,
@@ -47,16 +54,26 @@ NodeId AndOrSystem::AddNode(PropNode node) {
   return id;
 }
 
-void AndOrSystem::AddRule(PropRule rule) {
-  std::vector<NodeId> key;
-  key.reserve(rule.body.size() + 1);
-  key.push_back(rule.head);
-  key.insert(key.end(), rule.body.begin(), rule.body.end());
-  if (!rule_dedupe_.insert(std::move(key)).second) return;
-  uint32_t idx = static_cast<uint32_t>(rules_.size());
-  rules_by_head_[rule.head].push_back(idx);
-  rules_.push_back(std::move(rule));
+void AndOrSystem::AddRule(NodeId head, std::span<const NodeId> body,
+                          uint32_t source_adorned_rule) {
+  const uint32_t candidate = static_cast<uint32_t>(rules_.size());
+  auto same = [&](uint32_t id) {
+    const RuleRecord& r = rules_[id];
+    return r.head == head && r.body_size == body.size() &&
+           std::equal(body.begin(), body.end(),
+                      body_arena_.begin() + r.body_begin);
+  };
+  if (rule_index_.FindOrInsert(HashRule(head, body), candidate, same) !=
+      RuleIdTable::kAbsent) {
+    return;
+  }
+  rules_.push_back(RuleRecord{head,
+                              static_cast<uint32_t>(body_arena_.size()),
+                              static_cast<uint32_t>(body.size()),
+                              source_adorned_rule});
+  body_arena_.insert(body_arena_.end(), body.begin(), body.end());
   deleted_.push_back(false);
+  rules_by_head_[head].push_back(candidate);
 }
 
 void AndOrSystem::DeleteRule(size_t i) {
@@ -285,17 +302,17 @@ bool AndOrSystem::GraftSegment(const NodeTableSegment& seg,
       if (ref == 1) return one_;
       return base + (ref - 2);
     };
-    PropRule r;
-    r.head = decode(sr.head);
-    r.body.reserve(sr.body.size());
-    for (uint32_t ref : sr.body) r.body.push_back(decode(ref));
-    r.source_adorned_rule = ctx.ar_begin + sr.ar_delta;
-    uint32_t idx = static_cast<uint32_t>(rules_.size());
+    const uint32_t body_begin = static_cast<uint32_t>(body_arena_.size());
+    for (uint32_t ref : sr.body) body_arena_.push_back(decode(ref));
     // Deleted rules keep their slot but never enter RulesFor — the
     // exact state DeleteRule leaves behind.
-    if (!sr.deleted) rules_by_head_[r.head].push_back(idx);
-    rules_.push_back(std::move(r));
+    const NodeId head = decode(sr.head);
+    const uint32_t idx = static_cast<uint32_t>(rules_.size());
+    rules_.push_back(RuleRecord{head, body_begin,
+                                static_cast<uint32_t>(sr.body.size()),
+                                ctx.ar_begin + sr.ar_delta});
     deleted_.push_back(sr.deleted);
+    if (!sr.deleted) rules_by_head_[head].push_back(idx);
   }
   return true;
 }
@@ -347,7 +364,7 @@ std::string AndOrSystem::ToString(const Program& program) const {
   std::string out;
   for (size_t i = 0; i < rules_.size(); ++i) {
     if (deleted_[i]) continue;
-    const PropRule& r = rules_[i];
+    const PropRule r = rule(i);
     out += NodeName(r.head, program);
     out += " <- ";
     out += JoinMapped(r.body, ", ",

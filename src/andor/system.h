@@ -3,10 +3,10 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "andor/adorn.h"
@@ -109,9 +109,12 @@ struct PropNode {
 /// One propositional Horn rule `head ← body₁ ∧ ... ∧ bodyₙ` of And-Or_H:
 /// "head is unsafe if all body elements are unsafe". A node with several
 /// rules is unsafe if *any* of them fires (OR).
+///
+/// A view: `body` points into the owning system's body arena and stays
+/// valid until the next rule is added to that system.
 struct PropRule {
   NodeId head = kInvalidNode;
-  std::vector<NodeId> body;
+  std::span<const NodeId> body;
   /// Adorned rule this propositional rule was derived from (for
   /// explanations); kInvalidAdornedRule for synthetic rules.
   uint32_t source_adorned_rule = 0;
@@ -196,6 +199,58 @@ class NodeKeyMap {
   size_t size_ = 0;
 };
 
+/// Open-addressing set of rule ids keyed by rule content, the
+/// deduplication index of `AndOrSystem::AddRule`. A slot holds only a
+/// 32-bit hash tag and a rule id; key equality is decided by the
+/// caller against the stored rule, so the table never copies a body.
+/// Linear probing over a power-of-two slot array indexed by the tag,
+/// grown at ~2/3 load; growth re-slots by tag alone, without touching
+/// the rules.
+class RuleIdTable {
+ public:
+  static constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
+
+  /// The resident id whose rule `same(id)` accepts among the entries
+  /// tagged `hash`; if there is none, records `id` under `hash` and
+  /// returns kAbsent.
+  template <typename Same>
+  uint32_t FindOrInsert(uint32_t hash, uint32_t id, const Same& same) {
+    if ((size_ + 1) * 3 >= slots_.size() * 2) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.id == kAbsent) {
+        s = Slot{hash, id};
+        ++size_;
+        return kAbsent;
+      }
+      if (s.hash == hash && same(s.id)) return s.id;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t id = kAbsent;
+  };
+  static constexpr size_t kMinSlots = 64;
+
+  void Grow() {
+    std::vector<Slot> fresh(slots_.empty() ? kMinSlots : slots_.size() * 2);
+    const size_t mask = fresh.size() - 1;
+    for (const Slot& s : slots_) {
+      if (s.id == kAbsent) continue;
+      size_t i = s.hash & mask;
+      while (fresh[i].id != kAbsent) i = (i + 1) & mask;
+      fresh[i] = s;
+    }
+    slots_ = std::move(fresh);
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
 /// The propositional system And-Or_H produced by Algorithm 2, together
 /// with node/rule indexes. Rules may be deleted (marked) by Algorithm 3
 /// and Algorithm 4; deleted rules keep their slot but drop out of
@@ -210,7 +265,14 @@ class AndOrSystem {
   const std::vector<PropNode>& nodes() const { return nodes_; }
   const PropNode& node(NodeId id) const { return nodes_[id]; }
   size_t num_rules() const { return rules_.size(); }
-  const PropRule& rule(size_t i) const { return rules_[i]; }
+  /// Rule `i` as a view into the body arena (see PropRule).
+  PropRule rule(size_t i) const {
+    const RuleRecord& r = rules_[i];
+    return PropRule{r.head,
+                    std::span<const NodeId>(body_arena_.data() + r.body_begin,
+                                            r.body_size),
+                    r.source_adorned_rule};
+  }
   bool rule_deleted(size_t i) const { return deleted_[i]; }
 
   /// Live rules with head `n`.
@@ -222,8 +284,17 @@ class AndOrSystem {
   // --- Construction -----------------------------------------------------
 
   NodeId AddNode(PropNode node);
-  /// Adds a rule; duplicate (head, body) pairs are collapsed.
-  void AddRule(PropRule rule);
+  /// Adds `head ← body`; an exact duplicate of an earlier added rule
+  /// (same head, same body sequence) is dropped and the first copy
+  /// kept. `body` is copied into the arena and must not point into this
+  /// system's own rule storage.
+  void AddRule(NodeId head, std::span<const NodeId> body,
+               uint32_t source_adorned_rule);
+  void AddRule(NodeId head, std::initializer_list<NodeId> body,
+               uint32_t source_adorned_rule) {
+    AddRule(head, std::span<const NodeId>(body.begin(), body.size()),
+            source_adorned_rule);
+  }
 
   /// Marks rule `i` deleted (Algorithm 3 / Algorithm 4).
   void DeleteRule(size_t i);
@@ -238,7 +309,7 @@ class AndOrSystem {
   ///
   /// Grafted nodes re-register their head-argument and variable intern
   /// keys (FindHeadArg / FindVariable serve concurrent readers), but
-  /// grafted rules bypass `rule_dedupe_`: components never share
+  /// grafted rules stay out of the rule index: components never share
   /// non-terminal nodes, so cross-span duplicates are impossible, and
   /// the segment records the post-dedupe rule list of its own span.
   /// Deleted rules keep their slot (bit-identical rule numbering) and
@@ -285,22 +356,26 @@ class AndOrSystem {
   std::string ToString(const Program& program) const;
 
  private:
-  struct RuleKeyHash {
-    size_t operator()(const std::vector<NodeId>& k) const;
+  /// One stored rule: its body is body_arena_[body_begin, +body_size).
+  struct RuleRecord {
+    NodeId head = kInvalidNode;
+    uint32_t body_begin = 0;
+    uint32_t body_size = 0;
+    uint32_t source_adorned_rule = 0;
   };
 
   NodeId InternKeyed(const std::array<uint64_t, 4>& key, PropNode node);
 
   std::vector<PropNode> nodes_;
-  std::vector<PropRule> rules_;
+  std::vector<RuleRecord> rules_;
+  /// Every rule body, back to back in rule order.
+  std::vector<NodeId> body_arena_;
   std::vector<bool> deleted_;
   std::vector<std::vector<uint32_t>> rules_by_head_;
   NodeKeyMap node_index_;
-  /// Exact (head, body) pairs already added, for deduplication. Hashed
-  /// rather than ordered: membership is the only operation, and the
-  /// lexicographic vector comparisons of the ordered set dominated
-  /// AddRule on large systems.
-  std::unordered_set<std::vector<NodeId>, RuleKeyHash> rule_dedupe_;
+  /// Every rule added through AddRule, keyed by (head, body) content,
+  /// for deduplication. Grafted rules are not entered.
+  RuleIdTable rule_index_;
   /// Component spans in node order (empty unless the builder ran with a
   /// segment plan).
   std::vector<SegmentSpan> spans_;

@@ -53,18 +53,16 @@ AndOrSystem RandomSystem(Rng* rng, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) {
     const int rules = 1 + static_cast<int>(rng->Below(3));
     for (int r = 0; r < rules; ++r) {
-      PropRule rule;
-      rule.head = first + i;
+      std::vector<NodeId> body;
       const int len = 1 + static_cast<int>(rng->Below(3));
       for (int k = 0; k < len; ++k) {
         if (rng->Chance(1, 10)) {
-          rule.body.push_back(rng->Chance(1, 2) ? system.zero()
-                                                : system.one());
+          body.push_back(rng->Chance(1, 2) ? system.zero() : system.one());
         } else {
-          rule.body.push_back(first + static_cast<NodeId>(rng->Below(n)));
+          body.push_back(first + static_cast<NodeId>(rng->Below(n)));
         }
       }
-      system.AddRule(std::move(rule));
+      system.AddRule(first + i, body, 0);
     }
   }
   return system;

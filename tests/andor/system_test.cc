@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "andor/segment.h"
+#include "util/rng.h"
+#include "util/strings.h"
+
 namespace hornsafe {
 namespace {
 
@@ -47,18 +55,18 @@ TEST(AndOrSystemTest, AddRuleDeduplicates) {
   AndOrSystem s;
   NodeId h = s.InternHeadArg(1, 0, 0);
   NodeId v = s.InternVariable(0, 9);
-  s.AddRule(PropRule{h, {v}, 0});
-  s.AddRule(PropRule{h, {v}, 0});  // exact duplicate collapsed
+  s.AddRule(h, {v}, 0);
+  s.AddRule(h, {v}, 0);  // exact duplicate collapsed
   EXPECT_EQ(s.RulesFor(h).size(), 1u);
-  s.AddRule(PropRule{h, {v, v}, 0});  // different body: kept
+  s.AddRule(h, {v, v}, 0);  // different body: kept
   EXPECT_EQ(s.RulesFor(h).size(), 2u);
 }
 
 TEST(AndOrSystemTest, DeleteRuleRemovesFromIndex) {
   AndOrSystem s;
   NodeId h = s.InternHeadArg(1, 0, 0);
-  s.AddRule(PropRule{h, {s.zero()}, 0});
-  s.AddRule(PropRule{h, {s.one()}, 0});
+  s.AddRule(h, {s.zero()}, 0);
+  s.AddRule(h, {s.one()}, 0);
   ASSERT_EQ(s.RulesFor(h).size(), 2u);
   size_t total = s.NumLiveRules();
   uint32_t first = s.RulesFor(h)[0];
@@ -84,6 +92,206 @@ TEST(AndOrSystemTest, NodeNamesAreDistinctiveAndStable) {
   EXPECT_EQ(s.NodeName(s.InternBodyArgAdorned(5, 0b10, 0, r, 3), p),
             "r#5^fb.1");
   EXPECT_EQ(s.NodeName(s.InternFdChoice(5, 1, 0, r, 3), p), "r#5.2~fd0");
+}
+
+/// The AddRule contract, modelled with an ordered set: every rule added
+/// through AddRule is a key; a key seen before (deleted or not) is
+/// dropped; grafted rules are appended but never become keys.
+struct RuleModel {
+  struct Rule {
+    NodeId head;
+    std::vector<NodeId> body;
+    uint32_t source;
+    bool deleted;
+  };
+  std::set<std::vector<NodeId>> keys;
+  std::vector<Rule> rules;
+
+  void Add(NodeId head, const std::vector<NodeId>& body, uint32_t source) {
+    std::vector<NodeId> key{head};
+    key.insert(key.end(), body.begin(), body.end());
+    if (keys.insert(key).second) rules.push_back({head, body, source, false});
+  }
+
+  std::vector<uint32_t> RulesFor(NodeId n) const {
+    std::vector<uint32_t> out;
+    for (uint32_t i = 0; i < rules.size(); ++i) {
+      if (rules[i].head == n && !rules[i].deleted) out.push_back(i);
+    }
+    return out;
+  }
+
+  std::string ToString(const AndOrSystem& s, const Program& p) const {
+    std::string out;
+    for (const Rule& r : rules) {
+      if (r.deleted) continue;
+      out += StrCat(s.NodeName(r.head, p), " <- ",
+                    JoinMapped(r.body, ", ",
+                               [&](NodeId b) { return s.NodeName(b, p); }),
+                    "\n");
+    }
+    return out;
+  }
+};
+
+void ExpectMatchesModel(const AndOrSystem& s, const RuleModel& model,
+                        const Program& p) {
+  ASSERT_EQ(s.num_rules(), model.rules.size());
+  for (uint32_t i = 0; i < model.rules.size(); ++i) {
+    const PropRule r = s.rule(i);
+    const RuleModel::Rule& m = model.rules[i];
+    ASSERT_EQ(r.head, m.head) << "rule " << i;
+    ASSERT_EQ(std::vector<NodeId>(r.body.begin(), r.body.end()), m.body)
+        << "rule " << i;
+    ASSERT_EQ(r.source_adorned_rule, m.source) << "rule " << i;
+    ASSERT_EQ(s.rule_deleted(i), m.deleted) << "rule " << i;
+  }
+  for (NodeId n = 0; n < s.nodes().size(); ++n) {
+    ASSERT_EQ(s.RulesFor(n), model.RulesFor(n)) << "node " << n;
+  }
+  ASSERT_EQ(s.ToString(p), model.ToString(s, p));
+}
+
+TEST(AndOrSystemTest, RuleIndexMatchesOrderedSetModel) {
+  Program p;
+  const PredicateId r = p.InternPredicate("r", 3);
+  const PredicateId q = p.InternPredicate("q", 2);
+  const TermId vars[] = {p.Var("X"), p.Var("Y"), p.Var("Z")};
+
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Rng rng(seed);
+    AndOrSystem s;
+    RuleModel model;
+    std::vector<NodeId> pool;
+    for (uint64_t mask = 0; mask < 8; ++mask) {
+      for (uint32_t k = 0; k < 3; ++k) {
+        pool.push_back(s.InternHeadArg(r, mask, k));
+      }
+    }
+    for (uint32_t ar = 0; ar < 12; ++ar) {
+      for (TermId v : vars) pool.push_back(s.InternVariable(ar, v));
+      pool.push_back(s.InternBodyArg(ar, 0, r, ar, (ar & 1) != 0));
+    }
+
+    // A few "hot" heads receive many rules each; bodies range from
+    // empty through terminal-only to long; some adds repeat an earlier
+    // rule exactly.
+    auto random_rule = [&](NodeId* head, std::vector<NodeId>* body) {
+      *head = rng.Chance(1, 3) ? pool[rng.Below(4)]
+                               : pool[rng.Below(pool.size())];
+      body->clear();
+      switch (rng.Below(6)) {
+        case 0:
+          break;
+        case 1:
+          body->push_back(rng.Chance(1, 2) ? s.zero() : s.one());
+          break;
+        case 2: {
+          const size_t len = 8 + rng.Below(40);
+          for (size_t i = 0; i < len; ++i) {
+            body->push_back(pool[rng.Below(pool.size())]);
+          }
+          break;
+        }
+        default: {
+          const size_t len = 1 + rng.Below(4);
+          for (size_t i = 0; i < len; ++i) {
+            body->push_back(rng.Chance(1, 10) ? s.one()
+                                              : pool[rng.Below(8)]);
+          }
+          break;
+        }
+      }
+    };
+    auto add_stream = [&](int count) {
+      NodeId head;
+      std::vector<NodeId> body;
+      for (int i = 0; i < count; ++i) {
+        if (!model.rules.empty() && rng.Chance(1, 5)) {
+          const RuleModel::Rule& old =
+              model.rules[rng.Below(model.rules.size())];
+          head = old.head;
+          body = old.body;
+        } else {
+          random_rule(&head, &body);
+        }
+        const uint32_t source = static_cast<uint32_t>(rng.Below(12));
+        s.AddRule(head, body, source);
+        model.Add(head, body, source);
+        if (rng.Chance(1, 50)) {
+          const uint32_t victim =
+              static_cast<uint32_t>(rng.Below(model.rules.size()));
+          s.DeleteRule(victim);
+          model.rules[victim].deleted = true;
+        }
+      }
+    };
+    // Enough rules to grow the index several times over.
+    add_stream(2000 + static_cast<int>(rng.Below(2000)));
+    ExpectMatchesModel(s, model, p);
+    if (HasFatalFailure()) return;
+
+    // Graft a segment of fresh nodes whose rules include exact
+    // duplicates of each other, then keep adding: grafted rules never
+    // enter the index, so re-adding one of them is kept.
+    AdornedProgram adorned;
+    adorned.rules.resize(1);
+    const std::vector<PredicateId> pred_of_slot{q};
+    NodeTableSegment seg;
+    seg.num_pred_slots = 1;
+    seg.num_adorned_rules = 1;
+    seg.num_occurrences = 4;
+    for (uint32_t i = 0; i < 8; ++i) {
+      SegmentNode sn;
+      sn.kind = i < 4 ? PropNodeKind::kHeadArg : PropNodeKind::kBodyArg;
+      sn.pred_slot = 0;
+      sn.adornment_mask = i % 4;
+      sn.position = i % 2;
+      sn.occ_delta = i % 4;
+      seg.nodes.push_back(sn);
+    }
+    for (int i = 0; i < 40; ++i) {
+      SegmentRule sr;
+      sr.head = 2 + static_cast<uint32_t>(rng.Below(8));
+      const size_t len = rng.Below(4);
+      for (size_t k = 0; k < len; ++k) {
+        sr.body.push_back(static_cast<uint32_t>(rng.Below(10)));
+      }
+      sr.deleted = rng.Chance(1, 6);
+      seg.rules.push_back(sr);
+      if (rng.Chance(1, 4)) seg.rules.push_back(sr);
+    }
+    SegmentGraftContext ctx;
+    ctx.adorned = &adorned;
+    ctx.ar_count = 1;
+    ctx.occ_base = 1000;
+    ctx.occ_count = 4;
+    ctx.pred_of_slot = &pred_of_slot;
+    const NodeId base = static_cast<NodeId>(s.nodes().size());
+    ASSERT_TRUE(s.GraftSegment(seg, ctx));
+    auto decode = [&](uint32_t ref) -> NodeId {
+      return ref < 2 ? ref : base + ref - 2;
+    };
+    std::vector<RuleModel::Rule> grafted;
+    for (const SegmentRule& sr : seg.rules) {
+      RuleModel::Rule m{decode(sr.head), {}, 0, sr.deleted};
+      for (uint32_t ref : sr.body) m.body.push_back(decode(ref));
+      model.rules.push_back(m);
+      grafted.push_back(m);
+    }
+    ExpectMatchesModel(s, model, p);
+    if (HasFatalFailure()) return;
+
+    for (NodeId n = base; n < s.nodes().size(); ++n) pool.push_back(n);
+    for (const RuleModel::Rule& g : grafted) {
+      s.AddRule(g.head, g.body, 0);
+      model.Add(g.head, g.body, 0);
+    }
+    add_stream(1000);
+    ExpectMatchesModel(s, model, p);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
