@@ -1,6 +1,8 @@
 #include "core/fleet.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,12 +13,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "core/analyzer.h"
-#include "parser/parser.h"
 #include "util/fault.h"
 #include "util/proc.h"
 #include "util/strings.h"
@@ -58,25 +60,67 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
-/// One worker slot: the corpus-relative programs it still owes, its
-/// live pid, and the output files of every attempt so far.
-struct WorkerSlot {
-  int index = 0;
-  std::vector<std::string> pending;  // corpus-relative paths
-  pid_t pid = -1;
-  int attempt = 0;
-  std::vector<std::string> out_files;
-  bool finished = false;
+/// Everything one worker slot's output file says. The file is shared
+/// by every attempt of the slot, so a respawn finds what its killed
+/// predecessor claimed.
+struct WorkerOutput {
+  /// Per-program result rows, in file order.
+  std::vector<Json> rows;
+  /// Programs claimed without a result row, in claim order: the slot's
+  /// debt, which its next attempt runs first.
+  std::vector<std::string> debt;
+  /// The last summary ("done") line; null when no attempt finished.
+  Json summary;
 };
 
-struct WorkerSummary {
-  PipelineCacheStats cache;
-  uint64_t faults_injected = 0;
-  bool seen = false;
-};
+WorkerOutput ReadWorkerOutput(const std::string& out_file) {
+  WorkerOutput out;
+  std::vector<std::string> claimed;
+  std::set<std::string> reported;
+  for (const std::string& line : ReadLines(out_file)) {
+    auto parsed = Json::Parse(line);
+    // A worker killed mid-write leaves at most one torn trailing line;
+    // skip anything unparsable (the program it described is re-run).
+    if (!parsed.ok() || !parsed.value().is_object()) continue;
+    Json& j = parsed.value();
+    if (j["done"].AsBool()) {
+      out.summary = std::move(j);
+    } else if (j.Has("claimed")) {
+      claimed.push_back(j["claimed"].AsString());
+    } else if (j.Has("path")) {
+      reported.insert(j["path"].AsString());
+      out.rows.push_back(std::move(j));
+    }
+  }
+  for (std::string& rel : claimed) {
+    if (reported.count(rel) == 0) out.debt.push_back(std::move(rel));
+  }
+  return out;
+}
+
+/// The shared claim counter next to the program list: its length is
+/// the number of programs claimed so far (one byte per claim).
+std::string CounterPath(const std::string& list_file) {
+  return StrCat(list_file, ".next");
+}
 
 uint64_t SumField(const Json& obj, const char* key) {
   return static_cast<uint64_t>(obj[key].AsInt());
+}
+
+/// Adds one worker summary line's cache and fault counters.
+void AddSummary(const Json& summary, FleetReport* report) {
+  const Json& cache = summary["cache"];
+  report->verdict_hits += SumField(cache, "verdict_hits");
+  report->verdict_misses += SumField(cache, "verdict_misses");
+  report->disk_hits += SumField(cache, "disk_hits");
+  report->disk_misses += SumField(cache, "disk_misses");
+  report->disk_corrupt += SumField(cache, "disk_corrupt");
+  report->disk_write_skips += SumField(cache, "disk_write_skips");
+  report->disk_read_failures += SumField(cache, "disk_read_failures");
+  report->disk_stores += SumField(cache, "disk_stores");
+  report->torn_tails_repaired += SumField(cache, "torn_tails_repaired");
+  report->faults_injected += SumField(summary["faults"], "injected");
 }
 
 }  // namespace
@@ -90,7 +134,9 @@ std::vector<std::string> ListCorpus(const std::string& corpus_dir) {
     if (ec) break;
     if (!it->is_regular_file(ec)) continue;
     if (it->path().extension() != ".hs") continue;
-    out.push_back(fs::relative(it->path(), root, ec).string());
+    // Lexical: the iterator's paths all start with `root`, and
+    // fs::relative would canonicalize both paths per file.
+    out.push_back(it->path().lexically_relative(root).string());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -115,7 +161,6 @@ Json FleetReport::ToJson() const {
   cache.Set("disk_read_failures", disk_read_failures);
   cache.Set("disk_stores", disk_stores);
   cache.Set("torn_tails_repaired", torn_tails_repaired);
-  cache.Set("manifest_rollbacks", manifest_rollbacks);
   j.Set("cache", std::move(cache));
   Json faults = Json::Object();
   faults.Set("injected", faults_injected);
@@ -173,86 +218,94 @@ std::string FleetReport::ToText() const {
 
 namespace {
 
-/// Launches (or relaunches) `slot` on its pending programs. Returns
-/// false on spawn failure.
+/// One worker process slot: its live pid, its output file (shared by
+/// every attempt) and how many attempts it has made.
+struct WorkerSlot {
+  int index = 0;
+  pid_t pid = -1;
+  int attempt = 0;
+  std::string out_file;
+  bool finished = false;
+};
+
+/// Launches (or relaunches) `slot` over the shared program list.
+/// Returns false on spawn failure.
 bool LaunchWorker(const FleetOptions& options, const std::string& exe,
-                  const std::string& scratch, const fs::path& corpus_root,
+                  const std::string& scratch, const std::string& list_file,
                   WorkerSlot* slot) {
-  std::string tag = StrCat("w", slot->index, ".a", slot->attempt);
-  std::string shard_file = StrCat(scratch, "/shard-", tag);
-  std::string out_file = StrCat(scratch, "/out-", tag);
-  {
-    std::ofstream out(shard_file, std::ios::trunc);
-    for (const std::string& rel : slot->pending) {
-      out << rel << "\t" << (corpus_root / rel).string() << "\n";
-    }
-  }
-  std::vector<std::string> argv = {exe,     "fleet-worker", "--shard",
-                                   shard_file, "--out",     out_file,
-                                   "--jobs", StrCat(options.jobs)};
+  std::vector<std::string> argv = {exe,       "fleet-worker", "--shard",
+                                   list_file, "--out",        slot->out_file,
+                                   "--jobs",  StrCat(options.jobs)};
   if (!options.cache_dir.empty()) {
     argv.push_back("--cache-dir");
     argv.push_back(options.cache_dir);
   }
   SpawnOptions sopts;
   if (!options.fault_spec.empty()) {
-    sopts.extra_env.push_back(StrCat("HORNSAFE_FAULTS=", options.fault_spec));
+    // Each attempt of each slot draws its own fault stream (the later
+    // seed= wins). Under the spec's seed alone every worker would die
+    // at the same decision, and every respawn exactly where its
+    // predecessor died, until the respawn budget ran out.
+    const uint64_t stream = (static_cast<uint64_t>(slot->index) << 32) |
+                            static_cast<uint64_t>(slot->attempt);
+    const uint64_t seed = std::hash<std::string>{}(options.fault_spec) ^
+                          (stream * 0x9e3779b97f4a7c15ULL);
+    sopts.extra_env.push_back(
+        StrCat("HORNSAFE_FAULTS=", options.fault_spec, ",seed=", seed));
   }
-  sopts.stdout_path = StrCat(scratch, "/log-", tag);
+  sopts.stdout_path =
+      StrCat(scratch, "/log-w", slot->index, ".a", slot->attempt);
   sopts.stderr_path = sopts.stdout_path;
   auto pid_or = SpawnProcess(argv, sopts);
   if (!pid_or.ok()) return false;
   slot->pid = pid_or.value();
-  slot->out_files.push_back(out_file);
   ++slot->attempt;
   return true;
 }
 
-/// Parses one attempt's output file into `report` (first result per
-/// path wins) and the worker summary. Returns true when the final
-/// summary ("done") line was present — the attempt completed.
-bool HarvestWorkerOutput(const std::string& out_file, int worker_index,
-                         std::map<std::string, FleetProgramResult>* results,
-                         WorkerSummary* summary) {
-  bool done = false;
-  for (const std::string& line : ReadLines(out_file)) {
-    auto parsed = Json::Parse(line);
-    // A worker killed mid-write leaves at most one torn trailing line;
-    // skip anything unparsable (the program it described is re-run).
-    if (!parsed.ok() || !parsed.value().is_object()) continue;
-    const Json& j = parsed.value();
-    if (j["done"].AsBool()) {
-      done = true;
-      summary->seen = true;
-      const Json& cache = j["cache"];
-      summary->cache.verdict_hits += SumField(cache, "verdict_hits");
-      summary->cache.verdict_misses += SumField(cache, "verdict_misses");
-      summary->cache.disk_hits += SumField(cache, "disk_hits");
-      summary->cache.disk_misses += SumField(cache, "disk_misses");
-      summary->cache.disk_corrupt += SumField(cache, "disk_corrupt");
-      summary->cache.disk_write_skips += SumField(cache, "disk_write_skips");
-      summary->cache.disk_read_failures +=
-          SumField(cache, "disk_read_failures");
-      summary->cache.lease_acquisitions += SumField(cache, "disk_stores");
-      summary->cache.torn_tails_repaired +=
-          SumField(cache, "torn_tails_repaired");
-      summary->cache.manifest_rollbacks +=
-          SumField(cache, "manifest_rollbacks");
-      summary->faults_injected += SumField(j["faults"], "injected");
-      continue;
-    }
-    if (!j.Has("path")) continue;
-    FleetProgramResult r;
-    r.path = j["path"].AsString();
-    r.verdict = j["verdict"].AsString();
-    r.queries = static_cast<uint64_t>(j["queries"].AsInt());
-    r.wall_seconds = j["wall_seconds"].AsNumber();
-    r.error = j["error"].AsString();
-    r.worker = worker_index;
-    results->emplace(r.path, std::move(r));  // keeps the first
-  }
-  return done;
+/// Programs claimed so far across all workers.
+uint64_t ClaimedCount(const std::string& list_file) {
+  struct stat st {};
+  if (::stat(CounterPath(list_file).c_str(), &st) != 0) return 0;
+  return static_cast<uint64_t>(st.st_size);
 }
+
+/// Takes the next unclaimed index of `programs` from the shared counter
+/// under its flock. The claim line reaches the worker's output file
+/// before the counter advances, so a worker killed in between still
+/// owes the program: it may then be analyzed twice, but never lost.
+/// nullopt once every program is claimed (or the counter is unusable).
+std::optional<size_t> Claim(int counter_fd,
+                            const std::vector<std::string>& programs,
+                            int out_fd) {
+  while (::flock(counter_fd, LOCK_EX) != 0) {
+    if (errno != EINTR) return std::nullopt;
+  }
+  std::optional<size_t> claimed;
+  struct stat st {};
+  if (::fstat(counter_fd, &st) == 0 &&
+      static_cast<size_t>(st.st_size) < programs.size()) {
+    const size_t next = static_cast<size_t>(st.st_size);
+    const std::string& entry = programs[next];
+    Json rel(entry.substr(0, entry.find('\t')));
+    AppendLine(out_fd, StrCat("{\"claimed\":", rel.Dump(), "}"));
+    if (::write(counter_fd, "+", 1) == 1) claimed = next;
+  }
+  ::flock(counter_fd, LOCK_UN);
+  return claimed;
+}
+
+/// Removes the driver's own scratch directory on every return path.
+struct ScratchCleanup {
+  ScratchCleanup() = default;
+  ScratchCleanup(const ScratchCleanup&) = delete;
+  ScratchCleanup& operator=(const ScratchCleanup&) = delete;
+  std::string dir;  // empty = caller-provided scratch, kept
+  ~ScratchCleanup() {
+    std::error_code ec;
+    if (!dir.empty()) fs::remove_all(dir, ec);
+  }
+};
 
 }  // namespace
 
@@ -270,9 +323,10 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
     return Status::Unavailable("cannot resolve worker executable");
   }
 
-  // Scratch directory for shard lists, worker output and logs.
+  // Scratch directory for the program list, claim counter, worker
+  // output and logs.
   std::string scratch = options.scratch_dir;
-  bool own_scratch = false;
+  ScratchCleanup cleanup;
   if (scratch.empty()) {
     const char* tmpdir = std::getenv("TMPDIR");
     std::string tmpl =
@@ -284,7 +338,7 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
           StrCat("mkdtemp: ", std::strerror(errno)));
     }
     scratch = buf.data();
-    own_scratch = true;
+    cleanup.dir = scratch;
   } else {
     std::error_code ec;
     fs::create_directories(scratch, ec);
@@ -297,84 +351,98 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
     procs = static_cast<int>(corpus.size());
   }
 
-  // Round-robin sharding: adjacent corpus entries (likely siblings in
-  // one directory, likely sharing modules) spread across workers, which
-  // maximizes the *cross-process* reuse the shared disk tier exists for.
+  // On-demand dispatch: the corpus is listed once and every worker
+  // claims the next program when it is free, so a costly program holds
+  // up only the worker running it. The counter and output files are
+  // truncated so a reused scratch directory carries no old claims.
+  const std::string list_file = StrCat(scratch, "/programs");
+  {
+    fs::path corpus_root = fs::absolute(options.corpus_dir);
+    std::ofstream list(list_file, std::ios::trunc);
+    for (const std::string& rel : corpus) {
+      list << rel << "\t" << (corpus_root / rel).string() << "\n";
+    }
+    std::ofstream counter(CounterPath(list_file), std::ios::trunc);
+    if (!list || !counter) {
+      return Status::Unavailable(
+          StrCat("cannot write the program list in '", scratch, "'"));
+    }
+  }
   std::vector<WorkerSlot> slots(static_cast<size_t>(procs));
-  for (int w = 0; w < procs; ++w) slots[w].index = w;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    slots[i % static_cast<size_t>(procs)].pending.push_back(corpus[i]);
+  for (int w = 0; w < procs; ++w) {
+    slots[w].index = w;
+    slots[w].out_file = StrCat(scratch, "/out-w", w);
+    std::ofstream(slots[w].out_file, std::ios::trunc);
   }
 
-  fs::path corpus_root = fs::absolute(options.corpus_dir);
   FleetReport report;
   report.procs = static_cast<uint64_t>(procs);
   report.corpus_size = corpus.size();
 
-  std::map<std::string, FleetProgramResult> results;
-  std::vector<WorkerSummary> summaries(slots.size());
-
   for (WorkerSlot& slot : slots) {
-    if (!LaunchWorker(options, exe, scratch, corpus_root, &slot)) {
-      return Status::Unavailable("failed to spawn fleet worker");
+    if (LaunchWorker(options, exe, scratch, list_file, &slot)) continue;
+    // Take down the workers already started before giving up.
+    for (WorkerSlot& started_slot : slots) {
+      if (started_slot.pid < 0) continue;
+      KillProcess(started_slot.pid);
+      (void)WaitProcess(started_slot.pid);
     }
+    return Status::Unavailable("failed to spawn fleet worker");
   }
 
+  std::map<std::string, FleetProgramResult> results;
   int respawn_budget = options.max_respawns;
   size_t live = slots.size();
   while (live > 0) {
     bool progressed = false;
     for (WorkerSlot& slot : slots) {
-      if (slot.finished || slot.pid < 0) continue;
+      if (slot.finished) continue;
+      // A failed reap (should not happen for our own children) counts
+      // as a crash so the driver cannot hang.
       auto polled = PollProcess(slot.pid);
-      if (!polled.ok()) {
-        // Reaping failed (should not happen for our own children);
-        // treat as a crash so the driver cannot hang.
-        slot.pid = -1;
-      } else if (!polled.value().has_value()) {
-        continue;  // still running
-      }
+      if (polled.ok() && !polled.value().has_value()) continue;
       progressed = true;
-      WaitResult status =
-          polled.ok() && polled.value().has_value() ? *polled.value()
-                                                    : WaitResult{};
-      bool done = HarvestWorkerOutput(slot.out_files.back(), slot.index,
-                                      &results, &summaries[slot.index]);
-      bool clean = done && status.exited && status.exit_code == 0;
-      if (clean) {
-        slot.finished = true;
-        --live;
-        continue;
+      WaitResult status = polled.ok() ? *polled.value() : WaitResult{};
+      WorkerOutput out = ReadWorkerOutput(slot.out_file);
+      for (const Json& row : out.rows) {
+        FleetProgramResult r;
+        r.path = row["path"].AsString();
+        r.verdict = row["verdict"].AsString();
+        r.queries = static_cast<uint64_t>(row["queries"].AsInt());
+        r.wall_seconds = row["wall_seconds"].AsNumber();
+        r.error = row["error"].AsString();
+        r.worker = slot.index;
+        results.emplace(r.path, std::move(r));  // keeps the first
       }
-      ++report.worker_crashes;
-      // Drop everything this worker already reported from its debt.
-      std::vector<std::string> remaining;
-      for (const std::string& rel : slot.pending) {
-        if (results.find(rel) == results.end()) remaining.push_back(rel);
-      }
-      slot.pending = std::move(remaining);
-      if (slot.pending.empty()) {
-        // Died after its last program but before the summary line —
-        // all verdicts are in, only its counters are lost.
-        slot.finished = true;
-        --live;
-        continue;
-      }
-      if (respawn_budget > 0) {
+      const bool clean = out.summary.is_object() && status.exited &&
+                         status.exit_code == 0;
+      if (!clean) ++report.worker_crashes;
+      // A crashed slot comes back while it owes programs or unclaimed
+      // ones remain; one that died after its last program but before
+      // its summary line loses only its counters.
+      const bool work_left =
+          !clean && (!out.debt.empty() ||
+                     ClaimedCount(list_file) < corpus.size());
+      if (work_left && respawn_budget > 0) {
         --respawn_budget;
         ++report.respawns;
-        if (LaunchWorker(options, exe, scratch, corpus_root, &slot)) continue;
+        if (LaunchWorker(options, exe, scratch, list_file, &slot)) continue;
       }
-      // Budget exhausted (or respawn failed): report the remainder as
-      // errors rather than hanging or crashing the driver.
-      for (const std::string& rel : slot.pending) {
-        FleetProgramResult r;
-        r.path = rel;
-        r.verdict = "error";
-        r.error = "worker crashed; respawn budget exhausted";
-        r.worker = slot.index;
-        results.emplace(rel, std::move(r));
+      // Budget exhausted (or respawn failed): report the debt as errors
+      // rather than hanging or crashing the driver.
+      if (work_left) {
+        for (const std::string& rel : out.debt) {
+          FleetProgramResult r;
+          r.path = rel;
+          r.verdict = "error";
+          r.error = "worker crashed; respawn budget exhausted";
+          r.worker = slot.index;
+          results.emplace(rel, std::move(r));
+        }
       }
+      // Only the last attempt writes a summary; a killed attempt's
+      // counters die with it.
+      if (out.summary.is_object()) AddSummary(out.summary, &report);
       slot.finished = true;
       --live;
     }
@@ -402,20 +470,6 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
       ++report.analyzed;
     }
   }
-  for (const WorkerSummary& s : summaries) {
-    if (!s.seen) continue;
-    report.verdict_hits += s.cache.verdict_hits;
-    report.verdict_misses += s.cache.verdict_misses;
-    report.disk_hits += s.cache.disk_hits;
-    report.disk_misses += s.cache.disk_misses;
-    report.disk_corrupt += s.cache.disk_corrupt;
-    report.disk_write_skips += s.cache.disk_write_skips;
-    report.disk_read_failures += s.cache.disk_read_failures;
-    report.disk_stores += s.cache.lease_acquisitions;
-    report.torn_tails_repaired += s.cache.torn_tails_repaired;
-    report.manifest_rollbacks += s.cache.manifest_rollbacks;
-    report.faults_injected += s.faults_injected;
-  }
   uint64_t looked = report.verdict_hits + report.verdict_misses;
   report.verdict_hit_rate =
       looked > 0 ? static_cast<double>(report.verdict_hits) /
@@ -432,46 +486,39 @@ Result<FleetReport> RunFleet(const FleetOptions& options) {
   }
 
   report.wall_seconds = Seconds(started, std::chrono::steady_clock::now());
-
-  if (own_scratch) {
-    std::error_code ec;
-    fs::remove_all(scratch, ec);
-  }
   return report;
 }
 
-int FleetWorkerMain(const std::string& shard_file,
+int FleetWorkerMain(const std::string& list_file,
                     const std::string& out_file,
                     const std::string& cache_dir, int jobs,
                     const ProgramLoader& loader) {
+  // Programs this slot's earlier attempts claimed but never reported.
+  const WorkerOutput earlier = ReadWorkerOutput(out_file);
   int out_fd =
       ::open(out_file.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
              0644);
-  if (out_fd < 0) {
+  const std::string counter = CounterPath(list_file);
+  int counter_fd =
+      ::open(counter.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+  if (out_fd < 0 || counter_fd < 0) {
     std::fprintf(stderr, "fleet-worker: cannot open '%s': %s\n",
-                 out_file.c_str(), std::strerror(errno));
+                 (out_fd < 0 ? out_file : counter).c_str(),
+                 std::strerror(errno));
     return 1;
   }
+  // End a line torn by a killed predecessor before appending.
+  struct stat st {};
+  if (::fstat(out_fd, &st) == 0 && st.st_size > 0) AppendLine(out_fd, "");
 
   PipelineCache::Options copts;
   copts.dir = cache_dir;
   PipelineCache cache(copts);
 
-  ProgramLoader load = loader;
-  if (!load) {
-    load = [](const std::string& path) -> Result<Program> {
-      std::ifstream in(path);
-      if (!in) return Status::NotFound(StrCat("cannot open '", path, "'"));
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return ParseProgram(buffer.str());
-    };
-  }
-
-  for (const std::string& line : ReadLines(shard_file)) {
-    size_t tab = line.find('\t');
-    std::string rel = tab == std::string::npos ? line : line.substr(0, tab);
-    std::string abs = tab == std::string::npos ? line : line.substr(tab + 1);
+  // Analyzes one "<rel>\t<abs>" list entry and appends its result row.
+  auto analyze = [&](const std::string& entry) {
+    const size_t tab = entry.find('\t');
+    const std::string rel = entry.substr(0, tab);
 
     auto prog_started = std::chrono::steady_clock::now();
     Json row = Json::Object();
@@ -487,10 +534,10 @@ int FleetWorkerMain(const std::string& shard_file,
       AppendLine(out_fd, row.Dump());
     };
 
-    Result<Program> program = load(abs);
+    Result<Program> program = loader(entry.substr(tab + 1));
     if (!program.ok()) {
       emit("error", 0, program.status().ToString());
-      continue;
+      return;
     }
     AnalyzerOptions aopts;
     aopts.jobs = jobs;
@@ -498,7 +545,7 @@ int FleetWorkerMain(const std::string& shard_file,
     auto analyzer = SafetyAnalyzer::Create(program.value(), aopts);
     if (!analyzer.ok()) {
       emit("error", 0, analyzer.status().ToString());
-      continue;
+      return;
     }
     std::vector<Literal> queries = analyzer.value().canonical().queries();
     bool any_unsafe = false;
@@ -512,7 +559,22 @@ int FleetWorkerMain(const std::string& shard_file,
          : any_undecided  ? "undecided"
                           : "safe",
          queries.size(), "");
+  };
+
+  const std::vector<std::string> programs = ReadLines(list_file);
+  for (const std::string& rel : earlier.debt) {
+    for (const std::string& entry : programs) {
+      if (entry.compare(0, entry.find('\t'), rel) == 0) analyze(entry);
+    }
   }
+  while (std::optional<size_t> next = Claim(counter_fd, programs, out_fd)) {
+    analyze(programs[*next]);
+  }
+  ::close(counter_fd);
+
+  // One sync per shard this worker wrote makes its verdicts durable
+  // before it reports done (DESIGN.md, D16).
+  cache.Flush();
 
   // Final summary line: this worker's cache and fault picture. Its
   // absence is how the driver detects a crash.
@@ -530,7 +592,6 @@ int FleetWorkerMain(const std::string& shard_file,
   // One shard lock is taken per disk store.
   cache_json.Set("disk_stores", stats.lease_acquisitions);
   cache_json.Set("torn_tails_repaired", stats.torn_tails_repaired);
-  cache_json.Set("manifest_rollbacks", stats.manifest_rollbacks);
   summary.Set("cache", std::move(cache_json));
   FaultInjector::Counters fc = FaultInjector::Global().counters();
   uint64_t injected = 0;

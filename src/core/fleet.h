@@ -14,42 +14,46 @@
 namespace hornsafe {
 
 /// The fleet corpus driver: `hornsafe fleet <dir>` forks/execs N
-/// worker processes over a directory tree of programs, each analyzing
-/// its shard against one shared `--cache-dir`, and merges the results
+/// worker processes over a directory tree of programs. Each worker
+/// claims the next unanalyzed program whenever it is free and analyzes
+/// it against one shared `--cache-dir`; the driver merges the results
 /// into one report. Programs sharing library modules hit the same
 /// verdict entries across processes (cone fingerprints are
 /// content-addressed), so the corpus warms the cache superlinearly in
 /// corpus overlap. Workers that crash (or are crash-injected via
-/// HORNSAFE_FAULTS process_kill) are respawned on their unfinished
-/// remainder; the shared cache's append-only shard logs (DESIGN.md,
-/// D16) guarantee the crash cannot corrupt other workers' verdicts.
+/// HORNSAFE_FAULTS process_kill) are respawned, run the program they
+/// had claimed first and then claim on; the shared cache's append-only
+/// shard logs (DESIGN.md, D16) guarantee the crash cannot corrupt other
+/// workers' verdicts.
 struct FleetOptions {
   /// Directory tree scanned recursively for "*.hs" programs.
   std::string corpus_dir;
   /// Shared on-disk PipelineCache root; empty = each worker keeps a
-  /// private in-memory cache (still dedupes within its shard).
+  /// private in-memory cache (still dedupes within its own programs).
   std::string cache_dir;
   /// Worker processes (clamped to [1, 256] and the corpus size).
   int procs = 1;
   /// Analyzer threads per worker.
   int jobs = 1;
   /// Worker executable; empty = this binary (/proc/self/exe). Workers
-  /// are invoked as `<exe> fleet-worker --shard F --out F ...`.
+  /// are invoked as `<exe> fleet-worker --shard LIST --out F ...`,
+  /// where LIST is the corpus list they all claim from.
   std::string worker_exe;
-  /// HORNSAFE_FAULTS spec exported to workers (soaks); empty inherits
-  /// the parent environment unchanged.
+  /// HORNSAFE_FAULTS spec exported to workers (soaks), with a seed
+  /// derived from it per worker attempt; empty inherits the parent
+  /// environment unchanged.
   std::string fault_spec;
   /// Crash-respawn budget across all workers. A worker that dies
-  /// without its final summary line is respawned on the programs it
-  /// had not finished; past the budget the remainder is reported as
-  /// verdict "error".
+  /// without its final summary line is respawned while it owes a
+  /// claimed program or unclaimed ones remain; past the budget what it
+  /// owed is reported as verdict "error".
   int max_respawns = 16;
   /// Run one PipelineCache::Compact pass (with these bounds) after the
   /// workers finish.
   bool compact_after = false;
   PipelineCache::CompactionOptions compact_bounds;
-  /// Scratch directory for shard lists / worker output files; empty =
-  /// a fresh directory under TMPDIR, removed on completion.
+  /// Scratch directory for the program list, claim counter and worker
+  /// output; empty = a fresh directory under TMPDIR, removed at the end.
   std::string scratch_dir;
 };
 
@@ -62,7 +66,7 @@ struct FleetProgramResult {
   uint64_t queries = 0;
   double wall_seconds = 0;
   std::string error;  ///< non-empty iff verdict == "error"
-  int worker = -1;    ///< shard index that produced the result
+  int worker = -1;    ///< worker slot that produced the result
 };
 
 /// Merged fleet outcome: per-program verdicts (sorted by path) plus
@@ -75,11 +79,11 @@ struct FleetReport {
   uint64_t errors = 0;
   double wall_seconds = 0;
 
-  // Cache stats summed across workers. In a cold fleet run every
-  // verdict-tier hit is a cross-program hit by construction: each
-  // program is analyzed exactly once, so its own stores cannot feed
-  // its own lookups — only another program's (same or different
-  // worker; disk_hits isolates the cross-*process* share).
+  // Cache stats summed across workers. In a cold, fault-free fleet run
+  // every verdict-tier hit is a cross-program hit by construction: each
+  // program is claimed and analyzed exactly once, so its own stores
+  // cannot feed its own lookups — only another program's (same or
+  // different worker; disk_hits isolates the cross-*process* share).
   uint64_t verdict_hits = 0;
   uint64_t verdict_misses = 0;
   uint64_t disk_hits = 0;
@@ -90,7 +94,6 @@ struct FleetReport {
   /// Records appended to the shared disk tier (one per store attempt).
   uint64_t disk_stores = 0;
   uint64_t torn_tails_repaired = 0;
-  uint64_t manifest_rollbacks = 0;
   double verdict_hit_rate = 0;  ///< hits / (hits + misses), 0 when cold-empty
 
   /// Faults the workers' injectors fired (summed per-kind over worker
@@ -111,11 +114,11 @@ struct FleetReport {
 /// corpus-relative path.
 std::vector<std::string> ListCorpus(const std::string& corpus_dir);
 
-/// Runs the fleet: shard the corpus round-robin across `procs`
-/// workers, spawn and babysit them (respawning crashed ones on their
-/// remainder), merge per-program results and worker summaries.
-/// Fails only on driver-level errors (empty corpus, unusable scratch
-/// dir, spawn failure); per-program failures become "error" verdicts.
+/// Runs the fleet: list the corpus once, spawn `procs` workers that
+/// claim programs on demand, respawn crashed ones, merge per-program
+/// results and worker summaries. Fails only on driver-level errors
+/// (empty corpus, unusable scratch dir, spawn failure); per-program
+/// failures become "error" verdicts.
 Result<FleetReport> RunFleet(const FleetOptions& options);
 
 /// Loads one program from `path` for analysis (parse + whatever
@@ -123,13 +126,15 @@ Result<FleetReport> RunFleet(const FleetOptions& options);
 using ProgramLoader =
     std::function<Result<Program>(const std::string& path)>;
 
-/// Worker-side entry point (the CLI dispatches `fleet-worker` here):
-/// analyzes every "<rel>\t<abs>" line of `shard_file` against
-/// `cache_dir`, appending one JSON line per program and a final
+/// Worker-side entry point (the CLI dispatches `fleet-worker` here).
+/// Re-runs what an earlier attempt claimed in `out_file` without
+/// reporting it, then claims "<rel>\t<abs>" lines of `list_file` (via
+/// the shared counter `<list_file>.next`) and analyzes them against
+/// `cache_dir` until none are left. Appends a claim line per claim, one
+/// JSON line per program and, after one `PipelineCache::Flush`, a final
 /// summary line (cache + fault counters) to `out_file`. Returns the
-/// process exit code. `loader` parses each program (null = bare
-/// ParseProgram).
-int FleetWorkerMain(const std::string& shard_file,
+/// process exit code. `loader` parses each program.
+int FleetWorkerMain(const std::string& list_file,
                     const std::string& out_file,
                     const std::string& cache_dir, int jobs,
                     const ProgramLoader& loader);

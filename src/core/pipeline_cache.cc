@@ -28,8 +28,6 @@ constexpr char kRecordMagic[4] = {'H', 'S', 'L', 'R'};
 constexpr size_t kRecordOverhead = 4 + 4 + 8;
 /// Bodies are a few hundred bytes; a larger length field is damage.
 constexpr uint32_t kMaxBodyLength = 1u << 20;
-constexpr char kManifestName[] = "MANIFEST";
-constexpr char kManifestTmpPrefix[] = "MANIFEST.new.";
 
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -297,14 +295,14 @@ PipelineCache::PipelineCache(Options options)
   shard_capacity_ =
       (options_.max_entries + shard_count_ - 1) / shard_count_;
   if (options_.dir.empty()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(options_.dir, ec);
   // On failure there is no disk tier this run: every store fails to
   // take its shard lock and counts a write failure.
-  if (!ec) RecoverManifest();
+  std::error_code ec;
+  std::filesystem::create_directories(options_.dir, ec);
 }
 
 PipelineCache::~PipelineCache() {
+  Flush();
   for (DiskShard& shard : disk_) {
     if (shard.log_fd >= 0) ::close(shard.log_fd);
   }
@@ -314,81 +312,6 @@ std::string PipelineCache::LogPath(const std::string& dir,
                                    const CacheKey& key) {
   return ShardFile(dir, DiskShardOf(key), ".hsl");
 }
-
-void PipelineCache::RecoverManifest() {
-  std::string path = StrCat(options_.dir, "/", kManifestName);
-  std::string data;
-  // A missing or unreadable manifest reads as empty or partial; both
-  // fail the checks below and are rebuilt.
-  ReadWholeFile(path, &data);
-
-  // "HSMF 1 gen <G>\nsum <16 hex>\n" — the sum line is FNV over the
-  // first line, so a torn or bit-flipped manifest is detected, not
-  // trusted.
-  uint64_t generation = 0;
-  bool parsed = false;
-  if (!data.empty()) {
-    size_t nl = data.find('\n');
-    if (nl != std::string::npos && data.rfind("HSMF 1 gen ", 0) == 0) {
-      std::string line = data.substr(0, nl);
-      uint64_t g = 0;
-      bool num_ok = line.size() > 11;
-      for (size_t i = 11; i < line.size() && num_ok; ++i) {
-        if (line[i] < '0' || line[i] > '9') num_ok = false;
-        else g = g * 10 + static_cast<uint64_t>(line[i] - '0');
-      }
-      char want[32];
-      std::snprintf(want, sizeof(want), "sum %016llx",
-                    static_cast<unsigned long long>(Checksum(line)));
-      std::string rest = data.substr(nl + 1);
-      if (num_ok && rest.rfind(want, 0) == 0) {
-        generation = g;
-        parsed = true;
-      }
-    }
-  }
-
-  if (parsed) {
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    manifest_generation_ = generation;
-    misc_stats_.manifest_generation = generation;
-    return;
-  }
-
-  // Missing or corrupt: roll back to a fresh generation. Election via
-  // the compaction lock keeps concurrent openers from stamping over
-  // each other; losing the election just means the winner repairs it.
-  bool corrupt = !data.empty();
-  auto lock_or = FileLock::TryAcquire(StrCat(options_.dir, "/.compact.lock"));
-  bool wrote = false;
-  if (lock_or.ok() && lock_or.value().held()) {
-    wrote = WriteManifestFile(1);
-  }
-  std::lock_guard<std::mutex> lock(misc_mu_);
-  manifest_generation_ = 1;
-  misc_stats_.manifest_generation = 1;
-  if (corrupt && wrote) ++misc_stats_.manifest_rollbacks;
-}
-
-bool PipelineCache::WriteManifestFile(uint64_t generation) {
-  std::string line = StrCat("HSMF 1 gen ", generation);
-  char sum[32];
-  std::snprintf(sum, sizeof(sum), "sum %016llx",
-                static_cast<unsigned long long>(Checksum(line)));
-  std::string data = StrCat(line, "\n", sum, "\n");
-  std::string path = StrCat(options_.dir, "/", kManifestName);
-  std::string tmp =
-      StrCat(options_.dir, "/", kManifestTmpPrefix, ::getpid());
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return false;
-  bool ok = WriteAll(fd, data) && ::fsync(fd) == 0;
-  ::close(fd);
-  if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
-  if (!ok) ::unlink(tmp.c_str());
-  return ok;
-}
-
 
 std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
   Shard& shard = ShardFor(key);
@@ -596,21 +519,16 @@ void PipelineCache::DiskStore(const CacheKey& key,
     }
     // Synced under the flock: the log ends exactly at indexed_end.
     const uint64_t start = shard.indexed_end;
-    // One ENOSPC decision per attempt, spread over the two syscalls
-    // that can hit a full disk (write / fdatasync), so the fault is
-    // visible in exactly one counter (disk_write_skips) wherever it
-    // lands. -1 = not injected this attempt.
-    int enospc_at = faults.ShouldInject(FaultKind::kEnospc)
-                        ? static_cast<int>(faults.PickPoint(2))
-                        : -1;
-    // How much of the record reaches the log: all of it, nothing (EIO),
-    // a prefix the writer sees fail (short write), or a prefix the
-    // writer never learns about (torn append: the write "succeeded"
-    // but the bytes past the prefix were lost before fdatasync).
+    // How much of the record reaches the log: all of it, nothing (a
+    // full disk, EIO), a prefix the writer sees fail (short write), or
+    // a prefix the writer never learns about (torn append: the write
+    // "succeeded" but the bytes past the prefix were lost before the
+    // next Flush synced them).
+    const bool enospc = faults.ShouldInject(FaultKind::kEnospc);
     std::string_view bytes = record;
     bool injected_failure = false;
     bool torn = false;
-    if (enospc_at == 0) {
+    if (enospc) {
       bytes = {};
     } else if (faults.ShouldInject(FaultKind::kWriteError)) {
       bytes = {};
@@ -618,38 +536,62 @@ void PipelineCache::DiskStore(const CacheKey& key,
     } else if (faults.ShouldInject(FaultKind::kShortWrite)) {
       bytes = bytes.substr(0, faults.TornLength(record.size()));
       injected_failure = true;
-    } else if (enospc_at < 0 && faults.ShouldInject(FaultKind::kTornAppend)) {
+    } else if (faults.ShouldInject(FaultKind::kTornAppend)) {
       bytes = bytes.substr(0, faults.TornLength(record.size()));
       torn = true;
     }
     bool wrote = WriteAll(shard.log_fd, bytes);
-    bool full_disk = enospc_at == 0 || (!wrote && IsFullDisk(errno));
-    bool io_ok = wrote && !injected_failure && !full_disk;
+    bool full_disk = enospc || (!wrote && IsFullDisk(errno));
     faults.MaybeCrash();
     if (torn) return;  // the next store to this shard repairs the tail
-    if (io_ok) {
-      if (enospc_at == 1) {
-        io_ok = false;
-        full_disk = true;
-      } else if (::fdatasync(shard.log_fd) != 0) {
-        full_disk = IsFullDisk(errno);
-        io_ok = false;
-      }
-    }
-    if (io_ok) {
+    if (wrote && !injected_failure && !full_disk) {
       shard.index[key] = {start, static_cast<uint32_t>(record.size())};
       shard.indexed_end = start + record.size();
+      shard.unsynced = true;
       faults.MaybeCrash();
       return;
     }
-    // Drop whatever part of the record reached the log; a record that
-    // was never made durable must not stay behind it.
+    // Drop whatever part of the record reached the log; a failed
+    // append must not leave a prefix behind it.
     if (::ftruncate(shard.log_fd, static_cast<off_t>(start)) != 0) {
       // The leftover prefix is a torn tail; the next store repairs it.
     }
     if (full_disk) return Count(&PipelineCacheStats::disk_write_skips);
     if (attempt < options_.disk_retries) continue;
     return Count(&PipelineCacheStats::disk_write_failures);
+  }
+}
+
+void PipelineCache::Flush() {
+  if (options_.dir.empty()) return;
+  FaultInjector& faults = FaultInjector::Global();
+  for (DiskShard& shard : disk_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    if (!shard.unsynced || shard.log_fd < 0) continue;
+    for (int attempt = 0;; ++attempt) {
+      if (attempt > 0) RetryBackoff(attempt);
+      faults.MaybeCrash();
+      // One fired decision surfaces in exactly one counter: a full
+      // disk is a skip, any other sync error a failure once the
+      // retries run out.
+      bool full_disk = faults.ShouldInject(FaultKind::kEnospc);
+      bool synced = false;
+      if (!full_disk && !faults.ShouldInject(FaultKind::kWriteError)) {
+        synced = ::fdatasync(shard.log_fd) == 0;
+        full_disk = !synced && IsFullDisk(errno);
+      }
+      if (synced) {
+        shard.unsynced = false;
+        break;
+      }
+      if (full_disk) {
+        Count(&PipelineCacheStats::disk_write_skips);
+        break;
+      }
+      if (attempt < options_.disk_retries) continue;
+      Count(&PipelineCacheStats::disk_write_failures);
+      break;
+    }
   }
 }
 
@@ -669,8 +611,6 @@ Result<PipelineCache::CompactionResult> PipelineCache::Compact(
   if (!lock_or.value().held()) {
     std::lock_guard<std::mutex> lock(misc_mu_);
     ++misc_stats_.compactions_skipped;
-    res.ran = false;
-    res.generation = manifest_generation_;
     return res;
   }
   FileLock compact_lock = std::move(lock_or.value());
@@ -769,28 +709,14 @@ Result<PipelineCache::CompactionResult> PipelineCache::Compact(
     }
     res.entries_removed += removed;
     res.bytes_removed += removed_bytes;
+    ++res.logs_rewritten;
   }
 
-  // The generation bump is the pass's commit record: written last, via
-  // temp+rename, so a crash anywhere above leaves the old generation
-  // and an already-valid (just partially compacted) tier.
-  faults.MaybeCrash();
-  uint64_t next_gen;
   {
     std::lock_guard<std::mutex> lock(misc_mu_);
-    next_gen = manifest_generation_ + 1;
-  }
-  bool wrote = WriteManifestFile(next_gen);
-  {
-    std::lock_guard<std::mutex> lock(misc_mu_);
-    if (wrote) {
-      manifest_generation_ = next_gen;
-      misc_stats_.manifest_generation = next_gen;
-    }
     ++misc_stats_.compactions_run;
     misc_stats_.compaction_entries_removed += res.entries_removed;
     misc_stats_.compaction_bytes_removed += res.bytes_removed;
-    res.generation = manifest_generation_;
   }
   res.ran = true;
   return res;

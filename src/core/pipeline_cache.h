@@ -84,12 +84,6 @@ struct PipelineCacheStats {
   /// that died or was torn mid-append) truncated by this handle's
   /// stores before appending.
   uint64_t torn_tails_repaired = 0;
-  /// Generation stamp of the cache manifest (a value, not a counter —
-  /// bumped by each completed compaction pass).
-  uint64_t manifest_generation = 0;
-  /// Manifests found missing-while-entries-exist or corrupt at open
-  /// and rolled back to a fresh generation.
-  uint64_t manifest_rollbacks = 0;
   /// Compaction passes completed by this handle / skipped because
   /// another process held the compaction lock.
   uint64_t compactions_run = 0;
@@ -149,15 +143,17 @@ struct PipelineCacheStats {
 /// Disk format: one append-only log per shard, `<dir>/shard-<x>.hsl`
 /// (16 shards keyed by the low bits of `key.lo`). Each record is
 /// self-checksummed: magic, length, format version, key, store time,
-/// the verdict fields and an FNV sum. A store appends one record and
-/// `fdatasync`s it under the handle's shard mutex and the shard's flock
-/// (`shard-<x>.lock`), so a returned store is durable and every other
-/// handle sees it on its next lookup. Readers keep a key -> offset
-/// index per shard, extend it by parsing only the bytes appended since
-/// their last look, re-verify the checksum of every record they serve
-/// (a bad record is a counted miss; the next store of that key
-/// supersedes it), and rebuild it when the log's inode changes.
-/// Transient I/O errors are retried with exponential backoff
+/// the verdict fields and an FNV sum. A store appends one record under
+/// the handle's shard mutex and the shard's flock (`shard-<x>.lock`),
+/// so every other handle sees it on its next lookup; `Flush()` makes
+/// the appends durable, one `fdatasync` per shard written since the
+/// last flush (group commit: callers flush once per unit of work, and
+/// the destructor flushes whatever is left). Readers keep a key ->
+/// offset index per shard, extend it by parsing only the bytes
+/// appended since their last look, re-verify the checksum of every
+/// record they serve (a bad record is a counted miss; the next store of
+/// that key supersedes it), and rebuild it when the log's inode
+/// changes. Transient I/O errors are retried with exponential backoff
 /// (`disk_retries`); a full disk (ENOSPC) downgrades the store to
 /// memory-only instead of failing the analysis. Every disk syscall is
 /// wrapped by the process-wide `FaultInjector` (util/fault.h), so the
@@ -168,11 +164,10 @@ struct PipelineCacheStats {
 /// may share one cache directory. A writer that dies mid-append leaves
 /// at most a torn tail; the next store to that shard finds the bytes
 /// past the last valid record and truncates them before appending
-/// (`torn_tails_repaired`), and no reader ever indexes them. A
-/// generation-stamped MANIFEST is repaired (rolled back to a fresh
-/// generation) when corrupt, and `Compact()` runs a single-writer
-/// (flock-elected), size- and age-bounded GC pass that rewrites each
-/// log by rename and is crash-interruptible at any syscall.
+/// (`torn_tails_repaired`), and no reader ever indexes them.
+/// `Compact()` runs a single-writer (flock-elected), size- and
+/// age-bounded GC pass that rewrites each log by rename and is
+/// crash-interruptible at any syscall.
 class PipelineCache {
  public:
   struct Options {
@@ -222,8 +217,8 @@ class PipelineCache {
     uint64_t entries_scanned = 0;
     uint64_t entries_removed = 0;
     uint64_t bytes_removed = 0;
-    /// Manifest generation after the pass.
-    uint64_t generation = 0;
+    /// Shard logs replaced by a rewritten copy.
+    uint64_t logs_rewritten = 0;
   };
 
   PipelineCache() : PipelineCache(Options{}) {}
@@ -235,7 +230,19 @@ class PipelineCache {
   // --- Verdict tier (thread-safe) ---------------------------------------
 
   std::optional<CachedVerdict> Lookup(const CacheKey& key);
+  /// Inserts into the memory tier and appends to the disk tier. The
+  /// record is visible to every handle when this returns and durable
+  /// after the next `Flush()`.
   void Store(const CacheKey& key, const CachedVerdict& verdict);
+
+  /// `fdatasync`s every shard log this handle appended to since its
+  /// last flush: one sync per shard, under the shard mutex but not the
+  /// shard flock, so other writers keep appending meanwhile. A failed
+  /// sync counts once (`disk_write_skips` for a full disk, else
+  /// `disk_write_failures` after the retries) and leaves the shard for
+  /// the next flush; its records stay indexed and served. No-op without
+  /// a disk tier.
+  void Flush();
 
   // --- Pipeline-artifact tiers (thread-safe) ----------------------------
 
@@ -299,13 +306,14 @@ class PipelineCache {
   /// tier fits `max_bytes`, rewrites every log that holds a victim, a
   /// superseded record or damaged bytes (latest valid record per key,
   /// written to a temp file, fsynced and renamed over the log under the
-  /// shard lock), and bumps the manifest generation. A compactor killed
-  /// at any syscall leaves every log either old or new; errors are
-  /// returned only for a missing disk tier or lock syscall failure.
+  /// shard lock). Each rename is the commit record of its log: a
+  /// compactor killed at any syscall leaves every log either old or
+  /// new. Errors are returned only for a missing disk tier or lock
+  /// syscall failure.
   Result<CompactionResult> Compact(const CompactionOptions& bounds);
 
   /// Convenience for tools (`hornsafe cache-compact`, the fleet
-  /// driver): opens `dir` (repairing its manifest) and compacts it.
+  /// driver): opens `dir` and compacts it.
   static Result<CompactionResult> CompactDir(const std::string& dir,
                                              const CompactionOptions& bounds);
 
@@ -368,6 +376,8 @@ class PipelineCache {
     uint64_t ino = 0;
     /// Log bytes already parsed into `index` (a record boundary).
     uint64_t indexed_end = 0;
+    /// Appended to since the last successful `Flush()` sync.
+    bool unsynced = false;
     std::unordered_map<CacheKey, RecordRef, CacheKeyHash> index;
   };
 
@@ -380,11 +390,6 @@ class PipelineCache {
   /// truncates a torn tail; readers leave unparsed tail bytes alone.
   /// Caller holds `disk_[s].mu`.
   LogSync SyncShardLocked(size_t s, bool writer);
-  /// Reads/repairs `<dir>/MANIFEST`, setting manifest_generation_.
-  void RecoverManifest();
-  /// Writes the manifest at `generation` (temp + fsync + rename);
-  /// best-effort — the next open repairs a failed write.
-  bool WriteManifestFile(uint64_t generation);
   /// Bumps one disk-tier counter of misc_stats_.
   void Count(uint64_t PipelineCacheStats::*field);
   /// Counts a retry and sleeps `retry_backoff_us << (attempt-1)` µs.
@@ -407,9 +412,6 @@ class PipelineCache {
   size_t shard_capacity_ = 1;
   std::array<Shard, kVerdictShards> shards_;
 
-  /// Manifest generation observed at open (or written by the last
-  /// compaction through this handle). Guarded by misc_mu_.
-  uint64_t manifest_generation_ = 0;
   std::array<DiskShard, kDiskShards> disk_;
 
   /// Guards the artifact tiers and the non-verdict counters (disk,

@@ -93,6 +93,11 @@ class BoundedQueue {
     return true;
   }
 
+  bool empty() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return items_.empty();
+  }
+
   void Close() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
@@ -454,8 +459,6 @@ Json Server::DoStats() const {
     cs.Set("disk_retry_attempts", s.disk_retry_attempts);
     cs.Set("lease_acquisitions", s.lease_acquisitions);
     cs.Set("torn_tails_repaired", s.torn_tails_repaired);
-    cs.Set("manifest_generation", s.manifest_generation);
-    cs.Set("manifest_rollbacks", s.manifest_rollbacks);
     cs.Set("segment_hits", s.segment_hits);
     cs.Set("segment_misses", s.segment_misses);
     cs.Set("segment_insertions", s.segment_insertions);
@@ -572,6 +575,11 @@ uint64_t Server::Serve(std::istream& in, std::ostream& out) {
         ++counters_.shed;
       } else {
         emit(HandleLine(line));
+        // Group commit: the disk-tier appends of a burst of requests
+        // become durable once, when the burst is drained.
+        if (options_.cache != nullptr && queue.empty()) {
+          options_.cache->Flush();
+        }
       }
       replies.fetch_add(1, std::memory_order_relaxed);
       if (shutdown_requested()) queue.Close();
@@ -603,6 +611,7 @@ uint64_t Server::Serve(std::istream& in, std::ostream& out) {
   }
   queue.Close();
   pool.reset();  // drain + join the worker loops
+  if (options_.cache != nullptr) options_.cache->Flush();
   return replies.load(std::memory_order_relaxed);
 }
 
@@ -677,6 +686,7 @@ Status Server::ServeUnixSocket(const std::string& path) {
         }
         if (!open) break;
       }
+      if (options_.cache != nullptr) options_.cache->Flush();
       buffer.erase(0, start);
     }
     ::close(conn);

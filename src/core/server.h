@@ -129,18 +129,21 @@ class Server {
 
   /// Handles one request line, returning exactly one reply line
   /// (without the trailing newline). Never throws; safe to call
-  /// concurrently.
+  /// concurrently. Never syncs the disk tier: the caller decides when
+  /// its stores become durable (`PipelineCache::Flush`).
   std::string HandleLine(const std::string& line);
 
   /// Reads requests from `in` until EOF or a shutdown request; writes
   /// one reply line per request to `out` (replies interleave by
-  /// completion when `workers > 1`). Returns the number of requests
-  /// served (including error replies).
+  /// completion when `workers > 1`). Flushes the cache's disk tier
+  /// whenever the request queue drains and once more on the way out.
+  /// Returns the number of requests served (including error replies).
   uint64_t Serve(std::istream& in, std::ostream& out);
 
   /// Binds a unix-domain socket at `path` (unlinking any stale one)
   /// and serves connections sequentially, each with the line protocol
-  /// of `Serve`. Returns once a connection sends `shutdown`.
+  /// of `Serve`, flushing the disk tier after each batch of complete
+  /// lines read. Returns once a connection sends `shutdown`.
   Status ServeUnixSocket(const std::string& path);
 
   /// Asks the serve loop to stop and cancels in-flight analyses

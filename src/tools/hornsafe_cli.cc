@@ -101,7 +101,8 @@ struct CliFlags {
   long max_mb = 0;
   /// fleet/cache-compact: compaction age bound in seconds (0 = none).
   long max_age_s = 0;
-  /// fleet-worker (internal): shard list file and output file.
+  /// fleet-worker (internal): the corpus list the workers claim from
+  /// (`--shard`) and this worker slot's output file.
   std::string shard_file;
   std::string out_file;
 };
@@ -325,8 +326,6 @@ void PrintStatsJson(const SafetyAnalyzer& analyzer,
     cs.Set("pred_hash_misses", s.pred_hash_misses);
     cs.Set("lease_acquisitions", s.lease_acquisitions);
     cs.Set("torn_tails_repaired", s.torn_tails_repaired);
-    cs.Set("manifest_generation", s.manifest_generation);
-    cs.Set("manifest_rollbacks", s.manifest_rollbacks);
     cs.Set("compactions_run", s.compactions_run);
     root.Set("cache", std::move(cs));
   }
@@ -367,18 +366,15 @@ void PrintCacheStats(const PipelineCache& cache) {
       static_cast<unsigned long long>(s.fd_index_misses),
       static_cast<unsigned long long>(s.pred_hash_hits),
       static_cast<unsigned long long>(s.pred_hash_misses));
-  if (s.lease_acquisitions + s.torn_tails_repaired +
-          s.manifest_rollbacks + s.compactions_run + s.compactions_skipped >
+  if (s.lease_acquisitions + s.torn_tails_repaired + s.compactions_run +
+          s.compactions_skipped >
       0) {
     std::printf(
         "  shard locks taken:        %llu (torn tails repaired %llu)\n"
-        "  manifest generation:      %llu (rollbacks %llu)\n"
         "  compactions run/skipped:  %llu / %llu (removed %llu entries, "
         "%llu bytes)\n",
         static_cast<unsigned long long>(s.lease_acquisitions),
         static_cast<unsigned long long>(s.torn_tails_repaired),
-        static_cast<unsigned long long>(s.manifest_generation),
-        static_cast<unsigned long long>(s.manifest_rollbacks),
         static_cast<unsigned long long>(s.compactions_run),
         static_cast<unsigned long long>(s.compactions_skipped),
         static_cast<unsigned long long>(s.compaction_entries_removed),
@@ -935,19 +931,19 @@ int CmdCacheCompact() {
     j.Set("entries_scanned", r.entries_scanned);
     j.Set("entries_removed", r.entries_removed);
     j.Set("bytes_removed", r.bytes_removed);
-    j.Set("generation", r.generation);
+    j.Set("logs_rewritten", r.logs_rewritten);
     std::printf("%s\n", j.Dump().c_str());
   } else if (!r.ran) {
     std::printf("compaction skipped: another compactor holds the lock\n");
   } else {
     std::printf(
         "compacted %s: scanned %llu entr(ies), removed %llu (%llu bytes), "
-        "generation %llu\n",
+        "rewrote %llu log(s)\n",
         g_flags.cache_dir.c_str(),
         static_cast<unsigned long long>(r.entries_scanned),
         static_cast<unsigned long long>(r.entries_removed),
         static_cast<unsigned long long>(r.bytes_removed),
-        static_cast<unsigned long long>(r.generation));
+        static_cast<unsigned long long>(r.logs_rewritten));
   }
   return 0;
 }

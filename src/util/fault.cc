@@ -126,12 +126,6 @@ void FaultInjector::MaybeCrash() {
   std::abort();
 }
 
-size_t FaultInjector::PickPoint(size_t n) {
-  if (n <= 1) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<size_t>(NextRandom() % n);
-}
-
 void FaultInjector::CorruptOneBit(std::string* data) {
   if (data->empty()) return;
   std::lock_guard<std::mutex> lock(mu_);

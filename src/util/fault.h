@@ -13,23 +13,22 @@ namespace hornsafe {
 /// concrete syscall-level failure mode of the PipelineCache disk tier:
 ///
 ///   kReadError   — the shard log cannot be read (EIO); transient.
-///   kWriteError  — the append fails with nothing written (EIO);
-///                  transient.
+///   kWriteError  — the append, or a Flush's fdatasync, fails with
+///                  nothing written (EIO); transient.
 ///   kShortWrite  — only a prefix of the record reaches the file
 ///                  before the write fails; transient (the writer
 ///                  truncates the prefix away and retries).
 ///   kTornAppend  — only a strict prefix of a log record reaches the
 ///                  file and the writer does not notice (models a
-///                  crash between write and fdatasync that lost the
-///                  rest); persistent until the next store to that
-///                  shard truncates the torn tail.
+///                  crash between the write and the Flush that would
+///                  have synced the rest); persistent until the next
+///                  store to that shard truncates the torn tail.
 ///   kBitFlip     — one bit of the read-back payload is flipped
 ///                  (models media corruption); the record checksum
 ///                  catches it and the reader drops the record.
-///   kEnospc      — the filesystem is full (ENOSPC) at one uniformly
-///                  chosen wrap point of the store (write / fdatasync);
-///                  persistent for the write attempt, treated as a
-///                  non-fatal skip.
+///   kEnospc      — the filesystem is full (ENOSPC) at a store's write
+///                  or at a Flush's fdatasync; persistent for that
+///                  attempt, treated as a non-fatal skip.
 ///   kProcessKill — the process dies by SIGKILL at the wrap point
 ///                  (models a crash at that exact syscall: no
 ///                  destructors, no atexit handlers, held flocks
@@ -99,12 +98,6 @@ class FaultInjector {
   /// die with the process; observers are the parent's waitpid status
   /// and the cache's crash-recovery path.
   void MaybeCrash();
-
-  /// Uniform draw in [0, n) — used to spread a single fired decision
-  /// across n wrap points (e.g. which store syscall hits ENOSPC), so
-  /// the fault stays visible in exactly one counter no matter where it
-  /// lands. Returns 0 for n <= 1.
-  size_t PickPoint(size_t n);
 
   /// Flips one pseudo-randomly chosen bit of `*data` (no-op on empty).
   void CorruptOneBit(std::string* data);

@@ -1,10 +1,10 @@
 // Kill-9-at-a-random-syscall crash recovery. A child process analyzes
 // against the shared disk cache with process_kill injection armed, so
 // it dies by SIGKILL at whatever wrapped syscall the seed selects —
-// holding a shard lock, between an append and its fdatasync, mid
-// compaction. The parent then reopens the same directory and must find
-// a cleanly recoverable tier whose warm verdicts are bit-identical to a
-// cold, fault-free run.
+// holding a shard lock, between an append and the Flush that syncs
+// it, mid compaction. The parent then reopens the same directory and
+// must find a cleanly recoverable tier whose warm verdicts are
+// bit-identical to a cold, fault-free run.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -183,8 +183,8 @@ TEST_F(CacheCrashTest, CrashWhileHoldingShardLockIsRepairedByNextStore) {
 }
 
 TEST_F(CacheCrashTest, CrashedCompactionIsResumable) {
-  // Populate, then let compactors crash at random unlink/manifest
-  // syscalls; a later fault-free pass must complete and the tier must
+  // Populate, then let compactors crash at random syscalls of the log
+  // rewrite; a later fault-free pass must complete and the tier must
   // still serve bit-identical verdicts.
   std::vector<std::string> golden = Analyze();
   int kills = 0;

@@ -288,13 +288,100 @@ TEST_F(CacheFaultTest, InjectedFaultCounterParity) {
             0u);
 
   // ENOSPC: the S1 regression — every injection lands in
-  // disk_write_skips no matter which syscall (write/fdatasync) it
-  // strikes, never in disk_write_failures.
+  // disk_write_skips, never in disk_write_failures (the sync point's
+  // share is covered by FailedFlushCountsOnceAndKeepsEveryStoredVerdict).
   stats_with("enospc=1,seed=7", &n, FaultKind::kEnospc);
   EXPECT_EQ(last_stats_.disk_write_skips, static_cast<uint64_t>(n));
   EXPECT_EQ(last_stats_.disk_read_failures + last_stats_.disk_corrupt +
                 last_stats_.disk_write_failures,
             0u);
+}
+
+TEST_F(CacheFaultTest, FailedFlushCountsOnceAndKeepsEveryStoredVerdict) {
+  // The sync point moved from every store to Flush. A fault injected
+  // there still surfaces in exactly one counter — ENOSPC as a skip, EIO
+  // as a failure — and costs no verdict: the appended records stay in
+  // the log and are served, durable or not.
+  PipelineCache::Options copts;
+  copts.dir = dir_.string();
+  copts.disk_retries = 0;
+  copts.retry_backoff_us = 0;
+  CachedVerdict v;
+  v.verdict = Safety::kSafe;
+  v.explanation = "flush probe";
+  auto key = [](uint64_t i) { return CacheKey{i + 1, (i << 4) | (i % 3)}; };
+  auto injected = [](FaultKind kind) {
+    return FaultInjector::Global()
+        .counters()
+        .injected[static_cast<size_t>(kind)];
+  };
+  PipelineCache cache(copts);
+  for (uint64_t i = 0; i < 12; ++i) cache.Store(key(i), v);  // 3 shards
+
+  ASSERT_TRUE(FaultInjector::Global().Configure("enospc=1,seed=9"));
+  const uint64_t enospc_before = injected(FaultKind::kEnospc);
+  cache.Flush();
+  const uint64_t enospc = injected(FaultKind::kEnospc) - enospc_before;
+  EXPECT_EQ(enospc, 3u);
+  EXPECT_EQ(cache.stats().disk_write_skips, enospc);
+  EXPECT_EQ(cache.stats().disk_write_failures, 0u);
+
+  ASSERT_TRUE(FaultInjector::Global().Configure("write_error=1,seed=9"));
+  const uint64_t eio_before = injected(FaultKind::kWriteError);
+  cache.Flush();  // the skipped shards are still unsynced
+  const uint64_t eio = injected(FaultKind::kWriteError) - eio_before;
+  FaultInjector::Global().Configure("");
+  EXPECT_EQ(eio, 3u);
+  EXPECT_EQ(cache.stats().disk_write_failures, eio);
+  EXPECT_EQ(cache.stats().disk_write_skips, enospc);
+  EXPECT_EQ(cache.stats().disk_read_failures + cache.stats().disk_corrupt,
+            0u);
+
+  PipelineCache reader(copts);
+  for (uint64_t i = 0; i < 12; ++i) {
+    auto hit = reader.Lookup(key(i));
+    ASSERT_TRUE(hit.has_value()) << i;
+    EXPECT_EQ(hit->explanation, "flush probe");
+  }
+  EXPECT_EQ(reader.stats().disk_hits, 12u);
+}
+
+TEST_F(CacheFaultTest, StoresIntoOneShardReachTheSyncPointOncePerFlush) {
+  // Group commit: N stores into one shard cost one sync at the next
+  // Flush, not N. With write_error armed only around Flush, every sync
+  // attempt is one injected decision, so the injector counts them.
+  PipelineCache::Options copts;
+  copts.dir = dir_.string();
+  copts.disk_retries = 0;
+  copts.retry_backoff_us = 0;
+  CachedVerdict v;
+  v.verdict = Safety::kSafe;
+  auto syncs_during_flush = [&](PipelineCache& cache) {
+    auto count = [] {
+      return FaultInjector::Global()
+          .counters()
+          .injected[static_cast<size_t>(FaultKind::kWriteError)];
+    };
+    EXPECT_TRUE(FaultInjector::Global().Configure("write_error=1,seed=4"));
+    const uint64_t before = count();
+    cache.Flush();
+    const uint64_t after = count();
+    FaultInjector::Global().Configure("");
+    return after - before;
+  };
+  PipelineCache cache(copts);
+  constexpr uint64_t kStores = 40;
+  for (uint64_t i = 0; i < kStores; ++i) {
+    cache.Store(CacheKey{i + 1, (i << 4) | 0x5}, v);  // all in shard 5
+  }
+  EXPECT_EQ(syncs_during_flush(cache), 1u);
+  EXPECT_EQ(cache.stats().disk_write_failures, 1u);
+  cache.Flush();  // fault-free: the failed shard syncs now
+  EXPECT_EQ(syncs_during_flush(cache), 0u);  // nothing left to sync
+  cache.Store(CacheKey{999, 0x5}, v);
+  cache.Store(CacheKey{998, 0x7}, v);
+  EXPECT_EQ(syncs_during_flush(cache), 2u);  // one per touched shard
+  EXPECT_EQ(cache.stats().lease_acquisitions, kStores + 2);
 }
 
 TEST_F(CacheFaultTest, TornAppendIsNeverServedAndIsRepairedByTheNextStore) {

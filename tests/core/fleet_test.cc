@@ -1,7 +1,9 @@
 // Fleet driver unit tests: corpus listing, the multi-process run over
-// a tiny corpus (real fork/exec of the CLI binary), report shape, and
-// per-program failure isolation. The heavy faulted soak lives in
-// tests/integration/fleet_soak_test.cc.
+// a tiny corpus (real fork/exec of the CLI binary), report shape,
+// per-program failure isolation, and the on-demand claim protocol
+// (each program analyzed once, a costly program does not stall the
+// rest, a killed worker's claim is re-run). The heavy faulted soak
+// lives in tests/integration/fleet_soak_test.cc.
 
 #include "core/fleet.h"
 
@@ -10,10 +12,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/analyzer.h"
 #include "core/pipeline_cache.h"
+#include "parser/parser.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -63,6 +69,40 @@ class FleetTest : public ::testing::Test {
     for (int i = 0; i < n; ++i) {
       WriteProgram(StrCat("prog_", i, ".hs"),
                    StrCat(kSharedModule, "?- route(a, Y, 2).\n"));
+    }
+  }
+
+  /// The serial, cache-free verdict of every corpus program, folded the
+  /// way the worker folds its queries.
+  std::map<std::string, std::string> SerialVerdicts() {
+    std::map<std::string, std::string> verdicts;
+    for (const std::string& rel : ListCorpus(corpus_.string())) {
+      std::ifstream in(corpus_ / rel);
+      std::ostringstream text;
+      text << in.rdbuf();
+      auto program = ParseProgram(text.str());
+      EXPECT_TRUE(program.ok()) << rel;
+      if (!program.ok()) continue;
+      auto analyzer = SafetyAnalyzer::Create(program.value());
+      EXPECT_TRUE(analyzer.ok()) << rel;
+      if (!analyzer.ok()) continue;
+      bool any_unsafe = false, any_undecided = false;
+      for (const Literal& q : analyzer.value().canonical().queries()) {
+        QueryAnalysis a = analyzer.value().AnalyzeQueryLiteral(q);
+        any_unsafe |= a.overall == Safety::kUnsafe;
+        any_undecided |= a.overall == Safety::kUndecided;
+      }
+      verdicts[rel] =
+          any_unsafe ? "unsafe" : any_undecided ? "undecided" : "safe";
+    }
+    return verdicts;
+  }
+
+  void ExpectSerialVerdicts(const FleetReport& report) {
+    std::map<std::string, std::string> serial = SerialVerdicts();
+    ASSERT_EQ(report.programs.size(), serial.size());
+    for (const FleetProgramResult& p : report.programs) {
+      EXPECT_EQ(p.verdict, serial[p.path]) << p.path;
     }
   }
 
@@ -183,6 +223,7 @@ TEST_F(FleetTest, JsonReportHasTheDocumentedShape) {
   EXPECT_TRUE(j["cache"].Has("verdict_hit_rate"));
   EXPECT_TRUE(j["cache"].Has("disk_hits"));
   EXPECT_TRUE(j["cache"].Has("torn_tails_repaired"));
+  EXPECT_FALSE(j["cache"].Has("manifest_rollbacks"));  // no manifest
   // A cold run over a shared dir stores every cacheable verdict once.
   EXPECT_GT(j["cache"]["disk_stores"].AsInt(0), 0);
   EXPECT_EQ(static_cast<uint64_t>(j["cache"]["disk_stores"].AsInt(0)),
@@ -209,6 +250,64 @@ TEST_F(FleetTest, MemoryOnlyFleetStillWorksWithoutCacheDir) {
   EXPECT_EQ(report->analyzed, 3u);
   EXPECT_EQ(report->errors, 0u);
   EXPECT_EQ(report->disk_hits, 0u);
+}
+
+TEST_F(FleetTest, FaultFreeRunAnalyzesEachProgramExactlyOnce) {
+  // Each program's one query is one verdict-tier lookup, so the summed
+  // lookups count analyses: a program claimed twice would show up here.
+  WriteSharedCorpus(24);
+  FleetOptions opts = BaseOptions();
+  opts.procs = 3;
+  auto report = RunFleet(opts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->analyzed, 24u);
+  EXPECT_EQ(report->worker_crashes, 0u);
+  uint64_t queries = 0;
+  for (const FleetProgramResult& p : report->programs) queries += p.queries;
+  EXPECT_EQ(queries, 24u);
+  EXPECT_EQ(report->verdict_hits + report->verdict_misses, queries);
+}
+
+TEST_F(FleetTest, CostlyProgramDoesNotHoldBackTheCheapOnes) {
+  // One program with a six-ary recursive head (2^6 adornments) among
+  // many cheap ones: whichever worker claims it, the other keeps
+  // claiming, and every verdict matches the serial run.
+  WriteSharedCorpus(30);
+  std::string vars, body;
+  for (int i = 0; i < 6; ++i) {
+    vars += StrCat(i > 0 ? "," : "", "X", i);
+    body += StrCat(i > 0 ? ", " : "", "b", i, "(X", i, ")");
+  }
+  WriteProgram("aaa_wide.hs",
+               StrCat("r(", vars, ") :- ", body, ".\nr(", vars, ") :- r(",
+                      vars, "), c(X0).\n?- r(", vars, ").\n"));
+  FleetOptions opts = BaseOptions();
+  opts.procs = 2;
+  auto report = RunFleet(opts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->corpus_size, 31u);
+  EXPECT_EQ(report->analyzed, 31u);
+  EXPECT_EQ(report->errors, 0u);
+  ExpectSerialVerdicts(*report);
+}
+
+TEST_F(FleetTest, WorkerKilledAfterAClaimIsRespawnedAndNothingIsLost) {
+  // process_kill fires only inside disk-tier calls, which a worker makes
+  // while analyzing a program it has already claimed — so every kill
+  // here lands after a claim and leaves that program in the slot's
+  // debt. The respawned worker runs its debt first.
+  WriteSharedCorpus(16);
+  FleetOptions opts = BaseOptions();
+  opts.procs = 2;
+  opts.max_respawns = 64;
+  opts.fault_spec = "process_kill=0.3,seed=11";
+  auto report = RunFleet(opts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(report->worker_crashes, 1u);
+  EXPECT_GE(report->respawns, 1u);
+  EXPECT_EQ(report->analyzed, 16u);
+  EXPECT_EQ(report->errors, 0u);
+  ExpectSerialVerdicts(*report);
 }
 
 }  // namespace

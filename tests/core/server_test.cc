@@ -275,8 +275,7 @@ TEST(ServerTest, StatsReplyFieldNamesArePinned) {
                 "verdict_hits", "verdict_misses", "disk_hits",
                 "disk_misses", "disk_corrupt", "disk_write_failures",
                 "disk_write_skips", "disk_retry_attempts",
-                "lease_acquisitions", "torn_tails_repaired",
-                "manifest_generation", "manifest_rollbacks", "segment_hits",
+                "lease_acquisitions", "torn_tails_repaired", "segment_hits",
                 "segment_misses", "segment_insertions", "segment_evictions",
                 "fd_index_hits", "fd_index_misses", "pred_hash_hits",
                 "pred_hash_misses"}));

@@ -319,7 +319,6 @@ TEST(CliTest, StatsJsonFieldNamesArePinned) {
                 "segment_insertions", "segment_evictions", "fd_index_hits",
                 "fd_index_misses", "pred_hash_hits", "pred_hash_misses",
                 "lease_acquisitions", "torn_tails_repaired",
-                "manifest_generation", "manifest_rollbacks",
                 "compactions_run"}));
 }
 

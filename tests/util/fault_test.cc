@@ -152,20 +152,6 @@ TEST(FaultInjectorTest, ZeroProbabilityKindsConsumeNoRandomDraw) {
   EXPECT_EQ(draw(false), draw(true));
 }
 
-TEST(FaultInjectorTest, PickPointStaysInBoundsAndCoversAllPoints) {
-  FaultInjector inj;
-  ASSERT_TRUE(inj.Configure("enospc=1,seed=13"));
-  EXPECT_EQ(inj.PickPoint(0), 0u);
-  EXPECT_EQ(inj.PickPoint(1), 0u);
-  bool seen[3] = {};
-  for (int i = 0; i < 200; ++i) {
-    size_t p = inj.PickPoint(3);
-    ASSERT_LT(p, 3u);
-    seen[p] = true;
-  }
-  EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
-}
-
 TEST(FaultInjectorTest, MaybeCrashIsANoOpWhenDisabled) {
   FaultInjector inj;
   ASSERT_TRUE(inj.Configure("read_error=1"));  // process_kill stays 0
