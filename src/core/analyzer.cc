@@ -38,6 +38,17 @@ CacheKey MakeVerdictKey(uint64_t cone_fp, uint64_t context_hash,
 
 }  // namespace
 
+Json ArgumentVerdict::ToJson(bool with_explanation) const {
+  Json arg = Json::Object();
+  arg.Set("position", uint64_t{position});
+  arg.Set("safety", SafetyName(safety));
+  arg.Set("stop", StopReasonName(stop));
+  arg.Set("steps", steps);
+  arg.Set("graphs_checked", graphs_checked);
+  if (with_explanation) arg.Set("explanation", explanation);
+  return arg;
+}
+
 std::string QueryAnalysis::Summary(const Program& program) const {
   std::string out =
       StrCat(program.ToString(query), ": ", SafetyName(overall));
@@ -62,47 +73,22 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   HORNSAFE_RETURN_IF_ERROR(options.exec.Check("analyzer build"));
   StageTimer timer;
 
-  // Algorithm 1, behind the canonicalization tier: keyed on the strict
-  // (rendered-listing) hash, so a hit replays the exact output a cold
-  // run would rebuild. The artifact is frozen behind a shared_ptr and
-  // shared between the tier and every snapshot that hits it, so a warm
-  // hit costs one hash lookup instead of a deep Program copy. Display
-  // variables are interned on the miss path, while the canonical
-  // program is still private, and travel with the artifact; every
-  // later stage takes the program by const reference and interns
-  // nothing.
-  auto freeze = [&](CanonicalizationResult canon)
-      -> std::shared_ptr<const CanonicalizationResult> {
-    uint32_t max_arity = 0;
-    const size_t np = canon.program.num_predicates();
-    for (PredicateId p = 0; p < static_cast<PredicateId>(np); ++p) {
-      max_arity = std::max(max_arity, canon.program.predicate(p).arity);
-    }
-    s.display_vars.clear();
-    s.display_vars.reserve(max_arity);
-    for (uint32_t k = 0; k < max_arity; ++k) {
-      s.display_vars.push_back(canon.program.Var(StrCat("A", k + 1)));
-    }
-    return std::make_shared<const CanonicalizationResult>(std::move(canon));
-  };
-  if (cache != nullptr) {
-    uint64_t strict = StrictProgramHash(program);
-    uint64_t bits = CanonicalizeOptionBits(options.canonicalize);
-    if (auto hit = cache->LookupCanonicalization(strict, bits)) {
-      s.canon = std::move(hit->canon);
-      s.display_vars = std::move(hit->display_vars);
-    } else {
-      HORNSAFE_ASSIGN_OR_RETURN(CanonicalizationResult fresh_canon,
-                                Canonicalize(program, options.canonicalize));
-      s.canon = freeze(std::move(fresh_canon));
-      cache->StoreCanonicalization(strict, bits, {s.canon, s.display_vars});
-    }
-  } else {
-    HORNSAFE_ASSIGN_OR_RETURN(CanonicalizationResult fresh_canon,
-                              Canonicalize(program, options.canonicalize));
-    s.canon = freeze(std::move(fresh_canon));
+  // Algorithm 1. Display variables are interned while the canonical
+  // program is still private; every later stage takes the program by
+  // const reference and interns nothing.
+  HORNSAFE_ASSIGN_OR_RETURN(CanonicalizationResult canon,
+                            Canonicalize(program, options.canonicalize));
+  uint32_t max_arity = 0;
+  for (PredicateId p = 0;
+       p < static_cast<PredicateId>(canon.program.num_predicates()); ++p) {
+    max_arity = std::max(max_arity, canon.program.predicate(p).arity);
   }
-  s.stats.stage_canonicalize_ns = timer.LapNs();
+  s.display_vars.reserve(max_arity);
+  for (uint32_t k = 0; k < max_arity; ++k) {
+    s.display_vars.push_back(canon.program.Var(StrCat("A", k + 1)));
+  }
+  s.canon = std::make_shared<const CanonicalizationResult>(std::move(canon));
+  s.stats.build.stage_canonicalize_ns = timer.LapNs();
 
   const Program& cp = s.canon->program;
   const size_t num_preds = cp.num_predicates();
@@ -112,7 +98,7 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   // unchanged predicates.
   s.fps = ComputeFingerprints(
       cp, cache != nullptr ? &cache->pred_hashes() : nullptr);
-  s.stats.stage_fingerprint_ns = timer.LapNs();
+  s.stats.build.stage_fingerprint_ns = timer.LapNs();
 
   HORNSAFE_RETURN_IF_ERROR(options.exec.Check("analyzer build"));
 
@@ -134,35 +120,21 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
     }
     bopts.fd_indexes = &fd_indexes;
   }
-  s.stats.stage_fd_ns = timer.LapNs();
+  s.stats.build.stage_fd_ns = timer.LapNs();
 
-  // Algorithm 3 LFP bits, behind the emptiness tier (strict-hashed on
-  // the canonical program). Hoisted ahead of the build: the segment
-  // keys below fold the emptiness bits of each component's predicates,
-  // so they must be known before planning. The wall time still counts
+  // Algorithm 3 LFP bits, hoisted ahead of the build: the segment keys
+  // below fold the emptiness bits of each component's predicates, so
+  // they must be known before planning. The wall time still counts
   // against the prune stage (accumulated in two laps).
   std::optional<std::vector<bool>> empty;
-  if (options.apply_emptiness) {
-    uint64_t canon_strict = 0;
-    if (cache != nullptr) {
-      canon_strict = StrictProgramHash(cp);
-      empty = cache->LookupEmptiness(canon_strict);
-      if (empty && empty->size() != num_preds) {
-        empty.reset();
-      }
-    }
-    if (!empty) {
-      empty = EmptyPredicates(cp);
-      if (cache != nullptr) cache->StoreEmptiness(canon_strict, *empty);
-    }
-  }
-  s.stats.stage_prune_ns = timer.LapNs();
+  if (options.apply_emptiness) empty = EmptyPredicates(cp);
+  s.stats.build.stage_prune_ns = timer.LapNs();
 
   HORNSAFE_ASSIGN_OR_RETURN(
       s.adorned,
       BuildAdornedProgram(cp,
                           cache != nullptr ? &cache->adornments() : nullptr));
-  s.stats.stage_adorn_ns = timer.LapNs();
+  s.stats.build.stage_adorn_ns = timer.LapNs();
 
   // Segment planning (DESIGN.md, D15): partition the canonical rules
   // into weakly connected predicate components and look each one up in
@@ -214,7 +186,7 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
 
   HORNSAFE_ASSIGN_OR_RETURN(s.system,
                             BuildAndOrSystem(cp, s.adorned, bopts));
-  s.stats.stage_build_ns = timer.LapNs();
+  s.stats.build.stage_build_ns = timer.LapNs();
 
   s.stats.canonical_rules = cp.rules().size();
   s.stats.adorned_rules = s.adorned.rules.size();
@@ -268,7 +240,7 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
     s.stats.rules_pruned_reduction = pruned;
   }
   s.stats.rules_live = s.system.NumLiveRules();
-  s.stats.stage_prune_ns += timer.LapNs();
+  s.stats.build.stage_prune_ns += timer.LapNs();
 
   if (options.use_monotonicity && !s.canon->program.monos().empty()) {
     s.mono = std::make_unique<MonotonicityAnalyzer>(s.canon->program,
@@ -333,21 +305,22 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
           std::move(seg));
       if (resident != nullptr) {
         s.system.AttachSegment(i, std::move(resident));
-        ++s.stats.segments_encoded;
+        ++s.stats.build.segments_encoded;
       }
     }
   }
-  s.stats.stage_scc_ns = timer.LapNs();
+  s.stats.build.stage_scc_ns = timer.LapNs();
 
-  s.stats.segments_total = seg_stats.segments_total;
-  s.stats.segments_grafted = seg_stats.segments_grafted;
-  s.stats.segment_grafts_rejected = seg_stats.grafts_rejected;
-  s.stats.nodes_shared = seg_stats.nodes_shared;
-  s.stats.nodes_owned = seg_stats.nodes_owned;
+  s.stats.build.segments_total = seg_stats.segments_total;
+  s.stats.build.segments_grafted = seg_stats.segments_grafted;
+  s.stats.build.segment_grafts_rejected = seg_stats.grafts_rejected;
+  s.stats.build.nodes_shared = seg_stats.nodes_shared;
+  s.stats.build.nodes_owned = seg_stats.nodes_owned;
+  s.stats.build.node_table_peak_nodes = s.stats.nodes;
   for (const SegmentSpan& sp : s.system.spans()) {
     if (sp.segment != nullptr) {
       ++s.stats.segments_live;
-      s.stats.node_table_bytes += sp.segment->MemoryBytes();
+      s.stats.build.node_table_peak_bytes += sp.segment->MemoryBytes();
     }
   }
 
@@ -378,43 +351,9 @@ Result<SafetyAnalyzer> SafetyAnalyzer::Create(
   a.shared_->default_exec = options.exec;
   HORNSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const AnalysisSnapshot> snap,
                             BuildSnapshot(program, options));
-  a.FoldBuildStats(snap->stats);
+  MergeStatsAtomic(snap->stats.build, &a.shared_->counters);
   a.shared_->snapshot = std::move(snap);
   return a;
-}
-
-void SafetyAnalyzer::FoldBuildStats(const AnalysisSnapshot::Stats& stats) {
-  SharedCounters& c = shared_->counters;
-  c.stage_canonicalize_ns.fetch_add(stats.stage_canonicalize_ns,
-                                    std::memory_order_relaxed);
-  c.stage_fingerprint_ns.fetch_add(stats.stage_fingerprint_ns,
-                                   std::memory_order_relaxed);
-  c.stage_fd_ns.fetch_add(stats.stage_fd_ns, std::memory_order_relaxed);
-  c.stage_adorn_ns.fetch_add(stats.stage_adorn_ns,
-                             std::memory_order_relaxed);
-  c.stage_build_ns.fetch_add(stats.stage_build_ns,
-                             std::memory_order_relaxed);
-  c.stage_prune_ns.fetch_add(stats.stage_prune_ns,
-                             std::memory_order_relaxed);
-  c.stage_scc_ns.fetch_add(stats.stage_scc_ns, std::memory_order_relaxed);
-  c.segments_total.fetch_add(stats.segments_total,
-                             std::memory_order_relaxed);
-  c.segments_grafted.fetch_add(stats.segments_grafted,
-                               std::memory_order_relaxed);
-  c.segment_grafts_rejected.fetch_add(stats.segment_grafts_rejected,
-                                      std::memory_order_relaxed);
-  c.segments_encoded.fetch_add(stats.segments_encoded,
-                               std::memory_order_relaxed);
-  c.nodes_shared.fetch_add(stats.nodes_shared, std::memory_order_relaxed);
-  c.nodes_owned.fetch_add(stats.nodes_owned, std::memory_order_relaxed);
-  auto raise_to = [](std::atomic<uint64_t>& gauge, uint64_t seen) {
-    uint64_t cur = gauge.load(std::memory_order_relaxed);
-    while (cur < seen && !gauge.compare_exchange_weak(
-                             cur, seen, std::memory_order_relaxed)) {
-    }
-  };
-  raise_to(c.node_table_peak_nodes, stats.nodes);
-  raise_to(c.node_table_peak_bytes, stats.node_table_bytes);
 }
 
 std::shared_ptr<const AnalysisSnapshot> SafetyAnalyzer::snapshot() const {
@@ -466,7 +405,7 @@ Result<SafetyAnalyzer::UpdateStats> SafetyAnalyzer::Update(
   build_options.exec = exec;
   HORNSAFE_ASSIGN_OR_RETURN(std::shared_ptr<const AnalysisSnapshot> fresh,
                             BuildSnapshot(program, build_options));
-  FoldBuildStats(fresh->stats);
+  MergeStatsAtomic(fresh->stats.build, &shared_->counters);
 
   UpdateStats out;
   const Program& newp = fresh->canon->program;
@@ -487,7 +426,7 @@ Result<SafetyAnalyzer::UpdateStats> SafetyAnalyzer::Update(
   // call sees `fresh`. Counters live outside the snapshot and carry
   // over untouched.
   Publish(std::move(fresh));
-  shared_->counters.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
+  StatAdd(shared_->counters.snapshot_swaps, 1);
   if (build_options.cache != nullptr) {
     build_options.cache->NoteInvalidatedCones(out.dirty_predicates);
   }
@@ -521,43 +460,7 @@ std::shared_ptr<ThreadPool> SafetyAnalyzer::Pool(size_t threads) {
 }
 
 SafetyAnalyzer::Counters SafetyAnalyzer::counters() const {
-  const SharedCounters& sc = shared_->counters;
-  Counters c;
-  c.positions_analyzed = sc.positions_analyzed.load(std::memory_order_relaxed);
-  c.subset_searches = sc.subset_searches.load(std::memory_order_relaxed);
-  c.steps = sc.steps.load(std::memory_order_relaxed);
-  c.graphs_checked = sc.graphs_checked.load(std::memory_order_relaxed);
-  c.memo_hits = sc.memo_hits.load(std::memory_order_relaxed);
-  c.memo_misses = sc.memo_misses.load(std::memory_order_relaxed);
-  c.scc_short_circuits =
-      sc.scc_short_circuits.load(std::memory_order_relaxed);
-  c.parallel_tasks = sc.parallel_tasks.load(std::memory_order_relaxed);
-  c.serial_tasks = sc.serial_tasks.load(std::memory_order_relaxed);
-  c.cache_hits = sc.cache_hits.load(std::memory_order_relaxed);
-  c.cache_misses = sc.cache_misses.load(std::memory_order_relaxed);
-  c.snapshot_swaps = sc.snapshot_swaps.load(std::memory_order_relaxed);
-  c.stage_canonicalize_ns =
-      sc.stage_canonicalize_ns.load(std::memory_order_relaxed);
-  c.stage_fingerprint_ns =
-      sc.stage_fingerprint_ns.load(std::memory_order_relaxed);
-  c.stage_fd_ns = sc.stage_fd_ns.load(std::memory_order_relaxed);
-  c.stage_adorn_ns = sc.stage_adorn_ns.load(std::memory_order_relaxed);
-  c.stage_build_ns = sc.stage_build_ns.load(std::memory_order_relaxed);
-  c.stage_prune_ns = sc.stage_prune_ns.load(std::memory_order_relaxed);
-  c.stage_scc_ns = sc.stage_scc_ns.load(std::memory_order_relaxed);
-  c.stage_search_ns = sc.stage_search_ns.load(std::memory_order_relaxed);
-  c.segments_total = sc.segments_total.load(std::memory_order_relaxed);
-  c.segments_grafted = sc.segments_grafted.load(std::memory_order_relaxed);
-  c.segment_grafts_rejected =
-      sc.segment_grafts_rejected.load(std::memory_order_relaxed);
-  c.segments_encoded = sc.segments_encoded.load(std::memory_order_relaxed);
-  c.nodes_shared = sc.nodes_shared.load(std::memory_order_relaxed);
-  c.nodes_owned = sc.nodes_owned.load(std::memory_order_relaxed);
-  c.node_table_peak_nodes =
-      sc.node_table_peak_nodes.load(std::memory_order_relaxed);
-  c.node_table_peak_bytes =
-      sc.node_table_peak_bytes.load(std::memory_order_relaxed);
-  return c;
+  return LoadStats(shared_->counters);
 }
 
 QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
@@ -567,7 +470,7 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
   const Program& p = snap.canon->program;
   const AndOrSystem& system = snap.system;
   PipelineCache* cache = snap.options.cache;
-  SharedCounters& counters = shared_->counters;
+  Counters& counters = shared_->counters;
   QueryAnalysis out;
   const uint32_t arity = p.predicate(pred).arity;
   // Synthesise a display literal from the pre-interned variables (the
@@ -633,10 +536,10 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
           // reason reconstructs from the verdict bit-identically.
           v.stop = hit->verdict == Safety::kUndecided ? StopReason::kBudget
                                                       : StopReason::kNone;
-          counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
+          StatAdd(counters.cache_hits, 1);
           continue;
         }
-        counters.cache_misses.fetch_add(1, std::memory_order_relaxed);
+        StatAdd(counters.cache_misses, 1);
       }
       searches.push_back(std::move(job));
     }
@@ -658,23 +561,20 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
     for (SearchJob& job : searches) {
       done.push_back(pool->Submit([&snap, &job, &sopts, &counters] {
         job.res = CheckSubsetCondition(snap.system, job.root, sopts);
-        counters.steps.fetch_add(job.res.steps, std::memory_order_relaxed);
+        StatAdd(counters.steps, job.res.steps);
       }));
     }
     for (std::future<void>& f : done) f.get();
-    counters.parallel_tasks.fetch_add(searches.size(),
-                                      std::memory_order_relaxed);
+    StatAdd(counters.parallel_tasks, searches.size());
   } else {
     for (SearchJob& job : searches) {
       job.res = CheckSubsetCondition(system, job.root, sopts);
-      counters.steps.fetch_add(job.res.steps, std::memory_order_relaxed);
+      StatAdd(counters.steps, job.res.steps);
     }
-    counters.serial_tasks.fetch_add(searches.size(),
-                                    std::memory_order_relaxed);
+    StatAdd(counters.serial_tasks, searches.size());
   }
   if (!searches.empty()) {
-    counters.stage_search_ns.fetch_add(search_timer.LapNs(),
-                                       std::memory_order_relaxed);
+    StatAdd(counters.stage_search_ns, search_timer.LapNs());
   }
 
   // Deterministic merge: verdicts, explanations, and counters are
@@ -735,16 +635,13 @@ QueryAnalysis SafetyAnalyzer::AnalyzePredicate(const AnalysisSnapshot& snap,
       cv.explanation = v.explanation;
       cache->Store(job.key, cv);
     }
-    counters.subset_searches.fetch_add(1, std::memory_order_relaxed);
-    counters.graphs_checked.fetch_add(res.graphs_checked,
-                                      std::memory_order_relaxed);
-    counters.memo_hits.fetch_add(res.memo_hits, std::memory_order_relaxed);
-    counters.memo_misses.fetch_add(res.memo_misses,
-                                   std::memory_order_relaxed);
-    counters.scc_short_circuits.fetch_add(res.scc_short_circuits,
-                                          std::memory_order_relaxed);
+    StatAdd(counters.subset_searches, 1);
+    StatAdd(counters.graphs_checked, res.graphs_checked);
+    StatAdd(counters.memo_hits, res.memo_hits);
+    StatAdd(counters.memo_misses, res.memo_misses);
+    StatAdd(counters.scc_short_circuits, res.scc_short_circuits);
   }
-  counters.positions_analyzed.fetch_add(arity, std::memory_order_relaxed);
+  StatAdd(counters.positions_analyzed, arity);
 
   bool any_unsafe = false;
   bool any_undecided = false;

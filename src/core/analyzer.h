@@ -1,10 +1,10 @@
 #ifndef HORNSAFE_CORE_ANALYZER_H_
 #define HORNSAFE_CORE_ANALYZER_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +19,8 @@
 #include "lang/fingerprint.h"
 #include "lang/program.h"
 #include "util/deadline.h"
+#include "util/json.h"
+#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -66,12 +68,103 @@ struct AnalyzerOptions {
   /// analyzers and be shared between them — including between worker
   /// threads analyzing concurrently; every tier is thread-safe). When
   /// set, per-position subset verdicts are served by cone fingerprint,
-  /// and the canonicalization / emptiness / adornment stages reuse
-  /// cached artifacts. Results are bit-identical with and without a
+  /// and the fingerprint / FD / adornment / build stages reuse cached
+  /// per-predicate and per-component pieces. Results are bit-identical
+  /// with and without a
   /// cache for entries produced by structurally identical cones
   /// (DESIGN.md, D12).
   PipelineCache* cache = nullptr;
 };
+
+/// Cumulative counters of one SafetyAnalyzer across every build
+/// (Create + Updates) and every analysis run on it (`check --stats`,
+/// serve `stats`). `steps` aggregates the budget spent by all
+/// positions, including ones searched on pool threads; positions served
+/// from the pipeline cache spend nothing here. The schema below renders
+/// every field under its own name on every surface (DESIGN.md, D18).
+struct AnalyzerCounters {
+  uint64_t positions_analyzed = 0;
+  uint64_t subset_searches = 0;
+  uint64_t steps = 0;
+  uint64_t graphs_checked = 0;
+  uint64_t memo_hits = 0;
+  uint64_t memo_misses = 0;
+  uint64_t scc_short_circuits = 0;
+  uint64_t parallel_tasks = 0;
+  uint64_t serial_tasks = 0;
+  /// Positions served from / missed in the pipeline cache (0 when no
+  /// cache is configured).
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  /// Snapshots published by Update (0 for a never-updated analyzer).
+  uint64_t snapshot_swaps = 0;
+  /// Per-stage wall time (ns) across every build: Algorithm 1,
+  /// fingerprinting, FD index preparation, adornment, the Algorithm 2
+  /// build (including segment planning), Algorithm 3 + 4 pruning, and
+  /// condensation (+ monotonicity) — in pipeline order — plus the
+  /// subset-search stage across every analysis.
+  uint64_t stage_canonicalize_ns = 0;
+  uint64_t stage_fingerprint_ns = 0;
+  uint64_t stage_fd_ns = 0;
+  uint64_t stage_adorn_ns = 0;
+  uint64_t stage_build_ns = 0;
+  uint64_t stage_prune_ns = 0;
+  uint64_t stage_scc_ns = 0;
+  uint64_t stage_search_ns = 0;
+  /// Node-table segment tallies across every build (DESIGN.md, D15):
+  /// components planned / grafted / rejected at graft validation /
+  /// freshly encoded, and nodes appended from shared segments vs
+  /// interned fresh.
+  uint64_t segments_total = 0;
+  uint64_t segments_grafted = 0;
+  uint64_t segment_grafts_rejected = 0;
+  uint64_t segments_encoded = 0;
+  uint64_t nodes_shared = 0;
+  uint64_t nodes_owned = 0;
+  /// High-water marks across every snapshot built: the node-table size
+  /// and the resident bytes of its live segments.
+  uint64_t node_table_peak_nodes = 0;
+  uint64_t node_table_peak_bytes = 0;
+
+  /// The schema: every field above, in rendering order.
+  static std::span<const StatField<AnalyzerCounters>> Fields();
+};
+
+inline std::span<const StatField<AnalyzerCounters>>
+AnalyzerCounters::Fields() {
+  using C = AnalyzerCounters;
+  static constexpr StatField<C> kFields[] = {
+      HORNSAFE_STAT(C, positions_analyzed),
+      HORNSAFE_STAT(C, subset_searches),
+      HORNSAFE_STAT(C, steps),
+      HORNSAFE_STAT(C, graphs_checked),
+      HORNSAFE_STAT(C, memo_hits),
+      HORNSAFE_STAT(C, memo_misses),
+      HORNSAFE_STAT(C, scc_short_circuits),
+      HORNSAFE_STAT(C, parallel_tasks),
+      HORNSAFE_STAT(C, serial_tasks),
+      HORNSAFE_STAT(C, cache_hits),
+      HORNSAFE_STAT(C, cache_misses),
+      HORNSAFE_STAT(C, snapshot_swaps),
+      HORNSAFE_STAT(C, stage_canonicalize_ns),
+      HORNSAFE_STAT(C, stage_fingerprint_ns),
+      HORNSAFE_STAT(C, stage_fd_ns),
+      HORNSAFE_STAT(C, stage_adorn_ns),
+      HORNSAFE_STAT(C, stage_build_ns),
+      HORNSAFE_STAT(C, stage_prune_ns),
+      HORNSAFE_STAT(C, stage_scc_ns),
+      HORNSAFE_STAT(C, stage_search_ns),
+      HORNSAFE_STAT(C, segments_total),
+      HORNSAFE_STAT(C, segments_grafted),
+      HORNSAFE_STAT(C, segment_grafts_rejected),
+      HORNSAFE_STAT(C, segments_encoded),
+      HORNSAFE_STAT(C, nodes_shared),
+      HORNSAFE_STAT(C, nodes_owned),
+      HORNSAFE_STAT_MAX(C, node_table_peak_nodes),
+      HORNSAFE_STAT_MAX(C, node_table_peak_bytes),
+  };
+  return kFields;
+}
 
 /// Verdict for one argument position of an analyzed literal.
 struct ArgumentVerdict {
@@ -94,6 +187,9 @@ struct ArgumentVerdict {
   /// spent shows up in Counters instead.
   uint64_t steps = 0;
   uint64_t graphs_checked = 0;
+
+  /// One element of a serve `check` reply's `args` array.
+  Json ToJson(bool with_explanation) const;
 };
 
 /// Result of analyzing one query (or one predicate/adornment pair).
@@ -125,10 +221,7 @@ struct AnalysisSnapshot {
   /// build-time context only; the read path takes a per-request
   /// ExecContext instead of consulting this copy.
   AnalyzerOptions options;
-  /// Frozen Algorithm 1 output. Shared with the pipeline cache's
-  /// canonicalization tier when one is configured: the tier and every
-  /// snapshot built from the same input text point at one immutable
-  /// object, so a tier hit costs no Program copy.
+  /// Frozen Algorithm 1 output.
   std::shared_ptr<const CanonicalizationResult> canon;
   AdornedProgram adorned;
   AndOrSystem system;
@@ -155,34 +248,15 @@ struct AnalysisSnapshot {
     size_t rules_live = 0;
     size_t rules_pruned_emptiness = 0;
     size_t rules_pruned_reduction = 0;
-    /// Wall time per pipeline stage of this build (ns): Algorithm 1,
-    /// fingerprinting, FD index preparation, adornment, the
-    /// Algorithm 2 build (including segment planning), Algorithm 3 + 4
-    /// pruning, and condensation (+ monotonicity) — in pipeline order.
-    uint64_t stage_canonicalize_ns = 0;
-    uint64_t stage_fingerprint_ns = 0;
-    uint64_t stage_fd_ns = 0;
-    uint64_t stage_adorn_ns = 0;
-    uint64_t stage_build_ns = 0;
-    uint64_t stage_prune_ns = 0;
-    uint64_t stage_scc_ns = 0;
-    /// Segment-path tallies of this build (all 0 without a cache, or
-    /// when the component partition is not contiguous): components
-    /// planned, grafted wholesale from cached segments, rejected at
-    /// graft validation, and freshly encoded into the segment tier.
-    uint64_t segments_total = 0;
-    uint64_t segments_grafted = 0;
-    uint64_t segment_grafts_rejected = 0;
-    uint64_t segments_encoded = 0;
-    /// Nodes appended from shared segments vs interned fresh by the
-    /// segment-planned build.
-    uint64_t nodes_shared = 0;
-    uint64_t nodes_owned = 0;
-    /// Segments this snapshot holds alive (grafted or freshly encoded)
-    /// and their resident bytes — the structurally shared part of the
-    /// node table.
+    /// Segments this snapshot holds alive (grafted or freshly encoded):
+    /// the structurally shared part of the node table.
     uint64_t segments_live = 0;
-    uint64_t node_table_bytes = 0;
+    /// This build's contribution to the analyzer's cumulative counters:
+    /// its stage wall times (`stage_search_ns` stays 0), its segment
+    /// tallies (all 0 without a cache, or when the component partition
+    /// is not contiguous), and its node-table size and resident segment
+    /// bytes as `node_table_peak_*`.
+    AnalyzerCounters build;
   };
   Stats stats;
 };
@@ -297,51 +371,8 @@ class SafetyAnalyzer {
   using Stats = AnalysisSnapshot::Stats;
   const Stats& stats() const { return snapshot_ref().stats; }
 
-  /// Cumulative search counters across every analysis run on this
-  /// analyzer (hornsafe_cli --stats). `steps` aggregates the budget
-  /// spent by all positions, including ones searched on pool threads;
-  /// positions served from the pipeline cache spend nothing here.
-  struct Counters {
-    uint64_t positions_analyzed = 0;
-    uint64_t subset_searches = 0;
-    uint64_t steps = 0;
-    uint64_t graphs_checked = 0;
-    uint64_t memo_hits = 0;
-    uint64_t memo_misses = 0;
-    uint64_t scc_short_circuits = 0;
-    uint64_t parallel_tasks = 0;
-    uint64_t serial_tasks = 0;
-    /// Positions served from / missed in the pipeline cache (0 when no
-    /// cache is configured).
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    /// Snapshots published by Update (0 for a never-updated analyzer).
-    uint64_t snapshot_swaps = 0;
-    /// Cumulative per-stage wall time across every build this analyzer
-    /// ran (Create + Updates), plus the subset-search stage across
-    /// every analysis. Stage meanings: AnalysisSnapshot::Stats.
-    uint64_t stage_canonicalize_ns = 0;
-    uint64_t stage_fingerprint_ns = 0;
-    uint64_t stage_fd_ns = 0;
-    uint64_t stage_adorn_ns = 0;
-    uint64_t stage_build_ns = 0;
-    uint64_t stage_prune_ns = 0;
-    uint64_t stage_scc_ns = 0;
-    uint64_t stage_search_ns = 0;
-    /// Node-table segment tallies across every build (DESIGN.md, D15):
-    /// components planned / grafted / rejected / freshly encoded, and
-    /// nodes appended from shared segments vs interned fresh.
-    uint64_t segments_total = 0;
-    uint64_t segments_grafted = 0;
-    uint64_t segment_grafts_rejected = 0;
-    uint64_t segments_encoded = 0;
-    uint64_t nodes_shared = 0;
-    uint64_t nodes_owned = 0;
-    /// High-water marks across every snapshot this analyzer built: the
-    /// node-table size and the resident bytes of its live segments.
-    uint64_t node_table_peak_nodes = 0;
-    uint64_t node_table_peak_bytes = 0;
-  };
+  /// Cumulative search and build counters (AnalyzerCounters).
+  using Counters = AnalyzerCounters;
   Counters counters() const;
 
   /// The condensation shared by every subset search (computed once
@@ -353,42 +384,6 @@ class SafetyAnalyzer {
 
  private:
   SafetyAnalyzer() = default;
-
-  /// Monotonic counters, accumulated from whichever thread finished the
-  /// work. Individually exact; a concurrent reader may observe fields
-  /// from slightly different instants (they are independent tallies,
-  /// not a torn struct — each field is its own atomic).
-  struct SharedCounters {
-    std::atomic<uint64_t> positions_analyzed{0};
-    std::atomic<uint64_t> subset_searches{0};
-    std::atomic<uint64_t> steps{0};
-    std::atomic<uint64_t> graphs_checked{0};
-    std::atomic<uint64_t> memo_hits{0};
-    std::atomic<uint64_t> memo_misses{0};
-    std::atomic<uint64_t> scc_short_circuits{0};
-    std::atomic<uint64_t> parallel_tasks{0};
-    std::atomic<uint64_t> serial_tasks{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> snapshot_swaps{0};
-    std::atomic<uint64_t> stage_canonicalize_ns{0};
-    std::atomic<uint64_t> stage_fingerprint_ns{0};
-    std::atomic<uint64_t> stage_fd_ns{0};
-    std::atomic<uint64_t> stage_adorn_ns{0};
-    std::atomic<uint64_t> stage_build_ns{0};
-    std::atomic<uint64_t> stage_prune_ns{0};
-    std::atomic<uint64_t> stage_scc_ns{0};
-    std::atomic<uint64_t> stage_search_ns{0};
-    std::atomic<uint64_t> segments_total{0};
-    std::atomic<uint64_t> segments_grafted{0};
-    std::atomic<uint64_t> segment_grafts_rejected{0};
-    std::atomic<uint64_t> segments_encoded{0};
-    std::atomic<uint64_t> nodes_shared{0};
-    std::atomic<uint64_t> nodes_owned{0};
-    /// Gauges, maintained with compare-exchange max (not fetch_add).
-    std::atomic<uint64_t> node_table_peak_nodes{0};
-    std::atomic<uint64_t> node_table_peak_bytes{0};
-  };
 
   /// Everything that outlives snapshot swaps and analyzer moves:
   /// mutexes are not movable, so the analyzer owns this block through a
@@ -406,11 +401,14 @@ class SafetyAnalyzer {
     /// Default exec for the legacy entry points (set_exec).
     std::mutex exec_mu;
     ExecContext default_exec;
-    SharedCounters counters;
+    /// Live tallies, bumped from whichever thread finished the work and
+    /// read only through `StatAdd` / `StatRaise` / `LoadStats`.
+    Counters counters;
   };
 
   /// Runs the full (polynomial) pipeline for `program`, probing the
-  /// cache's canonicalization/emptiness/adornment tiers when configured.
+  /// cache's FD-index, structural-hash, adornment and segment tiers
+  /// when configured.
   static Result<std::shared_ptr<const AnalysisSnapshot>> BuildSnapshot(
       const Program& program, const AnalyzerOptions& options);
 
@@ -424,10 +422,6 @@ class SafetyAnalyzer {
   const AnalysisSnapshot& snapshot_ref() const;
   ExecContext default_exec() const;
   void Publish(std::shared_ptr<const AnalysisSnapshot> snap);
-
-  /// Folds one build's stage breakdown and segment tallies into the
-  /// cumulative counters (called by Create and every Update).
-  void FoldBuildStats(const AnalysisSnapshot::Stats& stats);
 
   std::shared_ptr<Shared> shared_;
 };

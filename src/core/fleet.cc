@@ -21,6 +21,7 @@
 #include "core/analyzer.h"
 #include "util/fault.h"
 #include "util/proc.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 namespace hornsafe {
@@ -104,23 +105,22 @@ std::string CounterPath(const std::string& list_file) {
   return StrCat(list_file, ".next");
 }
 
-uint64_t SumField(const Json& obj, const char* key) {
-  return static_cast<uint64_t>(obj[key].AsInt());
-}
-
 /// Adds one worker summary line's cache and fault counters.
 void AddSummary(const Json& summary, FleetReport* report) {
-  const Json& cache = summary["cache"];
-  report->verdict_hits += SumField(cache, "verdict_hits");
-  report->verdict_misses += SumField(cache, "verdict_misses");
-  report->disk_hits += SumField(cache, "disk_hits");
-  report->disk_misses += SumField(cache, "disk_misses");
-  report->disk_corrupt += SumField(cache, "disk_corrupt");
-  report->disk_write_skips += SumField(cache, "disk_write_skips");
-  report->disk_read_failures += SumField(cache, "disk_read_failures");
-  report->disk_stores += SumField(cache, "disk_stores");
-  report->torn_tails_repaired += SumField(cache, "torn_tails_repaired");
-  report->faults_injected += SumField(summary["faults"], "injected");
+  const PipelineCacheStats cache =
+      StatsFromJson<PipelineCacheStats>(summary["cache"]);
+  report->verdict_hits += cache.verdict_hits;
+  report->verdict_misses += cache.verdict_misses;
+  report->disk_hits += cache.disk_hits;
+  report->disk_misses += cache.disk_misses;
+  report->disk_corrupt += cache.disk_corrupt;
+  report->disk_write_skips += cache.disk_write_skips;
+  report->disk_read_failures += cache.disk_read_failures;
+  // One shard lock is taken per disk store.
+  report->disk_stores += cache.lease_acquisitions;
+  report->torn_tails_repaired += cache.torn_tails_repaired;
+  report->faults_injected +=
+      static_cast<uint64_t>(summary["faults"]["injected"].AsInt());
 }
 
 }  // namespace
@@ -578,21 +578,9 @@ int FleetWorkerMain(const std::string& list_file,
 
   // Final summary line: this worker's cache and fault picture. Its
   // absence is how the driver detects a crash.
-  PipelineCacheStats stats = cache.stats();
   Json summary = Json::Object();
   summary.Set("done", true);
-  Json cache_json = Json::Object();
-  cache_json.Set("verdict_hits", stats.verdict_hits);
-  cache_json.Set("verdict_misses", stats.verdict_misses);
-  cache_json.Set("disk_hits", stats.disk_hits);
-  cache_json.Set("disk_misses", stats.disk_misses);
-  cache_json.Set("disk_corrupt", stats.disk_corrupt);
-  cache_json.Set("disk_write_skips", stats.disk_write_skips);
-  cache_json.Set("disk_read_failures", stats.disk_read_failures);
-  // One shard lock is taken per disk store.
-  cache_json.Set("disk_stores", stats.lease_acquisitions);
-  cache_json.Set("torn_tails_repaired", stats.torn_tails_repaired);
-  summary.Set("cache", std::move(cache_json));
+  summary.Set("cache", StatsToJson(cache.stats()));
   FaultInjector::Counters fc = FaultInjector::Global().counters();
   uint64_t injected = 0;
   for (uint64_t v : fc.injected) injected += v;

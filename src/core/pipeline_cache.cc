@@ -320,7 +320,7 @@ std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++shard.hits;
+      ++shard.stats.verdict_hits;
       return it->second->verdict;
     }
   }
@@ -328,7 +328,7 @@ std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
     std::optional<CachedVerdict> from_disk = DiskLookup(key);
     if (from_disk) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      ++shard.hits;
+      ++shard.stats.verdict_hits;
       if (shard.index.find(key) == shard.index.end()) {
         InsertLocked(shard, key, *from_disk);
       }
@@ -336,7 +336,7 @@ std::optional<CachedVerdict> PipelineCache::Lookup(const CacheKey& key) {
     }
   }
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.misses;
+  ++shard.stats.verdict_misses;
   return std::nullopt;
 }
 
@@ -350,7 +350,7 @@ void PipelineCache::Store(const CacheKey& key, const CachedVerdict& verdict) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
       InsertLocked(shard, key, verdict);
-      ++shard.insertions;
+      ++shard.stats.verdict_insertions;
     }
   }
   if (!options_.dir.empty()) DiskStore(key, verdict);
@@ -363,7 +363,7 @@ void PipelineCache::InsertLocked(Shard& shard, const CacheKey& key,
   while (shard.lru.size() > shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
-    ++shard.evictions;
+    ++shard.stats.verdict_evictions;
   }
 }
 
@@ -731,57 +731,6 @@ Result<PipelineCache::CompactionResult> PipelineCache::CompactDir(
   return cache.Compact(bounds);
 }
 
-std::optional<PipelineCache::CanonArtifact>
-PipelineCache::LookupCanonicalization(uint64_t strict_hash,
-                                      uint64_t options_bits) {
-  // Artifact tiers are probed once per pipeline build (concurrent
-  // ephemeral builds share this cache), so the whole scan — splice
-  // included — runs under misc_mu_; returning a copy (two words plus
-  // the display-var ids) keeps the caller off the list after unlock.
-  CacheKey key{MixHash(strict_hash ^ 0x63616e6fULL), options_bits};
-  std::lock_guard<std::mutex> lock(misc_mu_);
-  for (auto it = canon_.begin(); it != canon_.end(); ++it) {
-    if (it->first == key) {
-      canon_.splice(canon_.begin(), canon_, it);
-      ++misc_stats_.canon_hits;
-      return canon_.front().second;
-    }
-  }
-  ++misc_stats_.canon_misses;
-  return std::nullopt;
-}
-
-void PipelineCache::StoreCanonicalization(uint64_t strict_hash,
-                                          uint64_t options_bits,
-                                          CanonArtifact artifact) {
-  if (artifact.canon == nullptr) return;
-  CacheKey key{MixHash(strict_hash ^ 0x63616e6fULL), options_bits};
-  std::lock_guard<std::mutex> lock(misc_mu_);
-  canon_.emplace_front(key, std::move(artifact));
-  while (canon_.size() > kMaxArtifacts) canon_.pop_back();
-}
-
-std::optional<std::vector<bool>> PipelineCache::LookupEmptiness(
-    uint64_t strict_hash) {
-  std::lock_guard<std::mutex> lock(misc_mu_);
-  for (auto it = emptiness_.begin(); it != emptiness_.end(); ++it) {
-    if (it->first == strict_hash) {
-      emptiness_.splice(emptiness_.begin(), emptiness_, it);
-      ++misc_stats_.emptiness_hits;
-      return emptiness_.front().second;
-    }
-  }
-  ++misc_stats_.emptiness_misses;
-  return std::nullopt;
-}
-
-void PipelineCache::StoreEmptiness(uint64_t strict_hash,
-                                   const std::vector<bool>& bits) {
-  std::lock_guard<std::mutex> lock(misc_mu_);
-  emptiness_.emplace_front(strict_hash, bits);
-  while (emptiness_.size() > kMaxArtifacts) emptiness_.pop_back();
-}
-
 CacheKey PipelineCache::SegmentKey(uint64_t component_hash,
                                    uint32_t mode_bits) {
   uint64_t lo = CombineHash(component_hash, mode_bits);
@@ -795,11 +744,11 @@ std::shared_ptr<const NodeTableSegment> PipelineCache::LookupSegment(
   std::lock_guard<std::mutex> lock(segment_mu_);
   auto it = segment_index_.find(key);
   if (it == segment_index_.end()) {
-    ++segment_misses_;
+    ++segment_stats_.segment_misses;
     return nullptr;
   }
   segments_.splice(segments_.begin(), segments_, it->second);
-  ++segment_hits_;
+  ++segment_stats_.segment_hits;
   return segments_.front().second;
 }
 
@@ -817,11 +766,11 @@ std::shared_ptr<const NodeTableSegment> PipelineCache::StoreSegment(
   }
   segments_.emplace_front(key, std::move(segment));
   segment_index_[key] = segments_.begin();
-  ++segment_insertions_;
+  ++segment_stats_.segment_insertions;
   while (segments_.size() > kMaxSegmentEntries) {
     segment_index_.erase(segments_.back().first);
     segments_.pop_back();
-    ++segment_evictions_;
+    ++segment_stats_.segment_evictions;
   }
   return segments_.front().second;
 }
@@ -839,10 +788,7 @@ PipelineCacheStats PipelineCache::stats() const {
   }
   {
     std::lock_guard<std::mutex> lock(segment_mu_);
-    out.segment_hits = segment_hits_;
-    out.segment_misses = segment_misses_;
-    out.segment_insertions = segment_insertions_;
-    out.segment_evictions = segment_evictions_;
+    MergeStats(segment_stats_, &out);
   }
   {
     FdClosureCache::Stats fd = fd_closures_.stats();
@@ -859,10 +805,7 @@ PipelineCacheStats PipelineCache::stats() const {
   // lookup may land before or after it, same as with one global lock.
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    out.verdict_hits += shard.hits;
-    out.verdict_misses += shard.misses;
-    out.verdict_insertions += shard.insertions;
-    out.verdict_evictions += shard.evictions;
+    MergeStats(shard.stats, &out);
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <list>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,10 +14,10 @@
 #include "andor/adorn.h"
 #include "andor/segment.h"
 #include "andor/subset.h"
-#include "canonical/canonical.h"
 #include "fd/fd.h"
 #include "lang/fingerprint.h"
 #include "lang/program.h"
+#include "util/stats.h"
 #include "util/status.h"
 
 namespace hornsafe {
@@ -58,7 +59,9 @@ struct CachedVerdict {
   std::string explanation;
 };
 
-/// Hit/miss/eviction accounting across every tier (CLI `--stats`).
+/// Hit/miss/eviction accounting across every tier. The schema below
+/// renders every field but `canon_*` under its own name on every
+/// surface (DESIGN.md, D18).
 struct PipelineCacheStats {
   uint64_t verdict_hits = 0;
   uint64_t verdict_misses = 0;
@@ -93,10 +96,10 @@ struct PipelineCacheStats {
   /// Dirty cones reported by SafetyAnalyzer::Update — edits whose cone
   /// fingerprints changed and whose old entries became unreachable.
   uint64_t cones_invalidated = 0;
+  /// Always 0: the canonicalization tier is gone. Kept, outside the
+  /// schema, only because perfbench/workloads.cc still reads them.
   uint64_t canon_hits = 0;
   uint64_t canon_misses = 0;
-  uint64_t emptiness_hits = 0;
-  uint64_t emptiness_misses = 0;
   /// Node-table segment tier (per-component spans with prune verdicts
   /// and SCC slices — andor/segment.h).
   uint64_t segment_hits = 0;
@@ -109,7 +112,44 @@ struct PipelineCacheStats {
   /// Per-predicate structural-hash memo (PredicateHashMemo).
   uint64_t pred_hash_hits = 0;
   uint64_t pred_hash_misses = 0;
+
+  /// The schema: every field above but `canon_*`, in rendering order.
+  static std::span<const StatField<PipelineCacheStats>> Fields();
 };
+
+inline std::span<const StatField<PipelineCacheStats>>
+PipelineCacheStats::Fields() {
+  using S = PipelineCacheStats;
+  static constexpr StatField<S> kFields[] = {
+      HORNSAFE_STAT(S, verdict_hits),
+      HORNSAFE_STAT(S, verdict_misses),
+      HORNSAFE_STAT(S, verdict_insertions),
+      HORNSAFE_STAT(S, verdict_evictions),
+      HORNSAFE_STAT(S, disk_hits),
+      HORNSAFE_STAT(S, disk_misses),
+      HORNSAFE_STAT(S, disk_corrupt),
+      HORNSAFE_STAT(S, disk_write_failures),
+      HORNSAFE_STAT(S, disk_read_failures),
+      HORNSAFE_STAT(S, disk_write_skips),
+      HORNSAFE_STAT(S, disk_retry_attempts),
+      HORNSAFE_STAT(S, lease_acquisitions),
+      HORNSAFE_STAT(S, torn_tails_repaired),
+      HORNSAFE_STAT(S, compactions_run),
+      HORNSAFE_STAT(S, compactions_skipped),
+      HORNSAFE_STAT(S, compaction_entries_removed),
+      HORNSAFE_STAT(S, compaction_bytes_removed),
+      HORNSAFE_STAT(S, cones_invalidated),
+      HORNSAFE_STAT(S, segment_hits),
+      HORNSAFE_STAT(S, segment_misses),
+      HORNSAFE_STAT(S, segment_insertions),
+      HORNSAFE_STAT(S, segment_evictions),
+      HORNSAFE_STAT(S, fd_index_hits),
+      HORNSAFE_STAT(S, fd_index_misses),
+      HORNSAFE_STAT(S, pred_hash_hits),
+      HORNSAFE_STAT(S, pred_hash_misses),
+  };
+  return kFields;
+}
 
 /// Cross-query cache for the safety pipeline, shared by any number of
 /// `SafetyAnalyzer` builds (and across processes through the disk tier).
@@ -125,20 +165,13 @@ struct PipelineCacheStats {
 ///     cones never contend on one mutex; hit/miss/insert/evict counters
 ///     are kept per shard and summed by `stats()`, so they stay exact
 ///     under any number of concurrent readers.
-///   * *canonicalization tier* — strict program hash -> Algorithm 1
-///     output, keyed on the exact rendered listing so the cached copy
-///     is bit-identical to what a cold run would rebuild. Small LRU.
-///   * *emptiness tier* — strict canonical-program hash -> the
-///     Algorithm 3 LFP bits (T₀ flags). Small LRU.
 ///   * *adornment sets* — the pattern-keyed AdornmentCache, shared
 ///     across rebuilds (its keys are program-independent grouping
 ///     patterns, so reuse across arbitrary programs is sound).
 ///
 /// Every tier is thread-safe: one PipelineCache serves any number of
 /// concurrent analyzer builds and subset searches (serve workers share
-/// one instance — see DESIGN.md, D14). The artifact tiers sit behind a
-/// single mutex (they are touched once per pipeline build, not per
-/// search, so striping them would buy nothing).
+/// one instance — see DESIGN.md, D14).
 ///
 /// Disk format: one append-only log per shard, `<dir>/shard-<x>.hsl`
 /// (16 shards keyed by the low bits of `key.lo`). Each record is
@@ -244,28 +277,7 @@ class PipelineCache {
   /// a disk tier.
   void Flush();
 
-  // --- Pipeline-artifact tiers (thread-safe) ----------------------------
-
-  /// A cached canonicalization: the frozen Algorithm 1 output plus the
-  /// display variables the storing build interned into its term pool
-  /// (analyzer.h). Shared by pointer — the producing snapshot and every
-  /// hitting snapshot read the same immutable object, so a tier hit
-  /// copies two words instead of a whole Program.
-  struct CanonArtifact {
-    std::shared_ptr<const CanonicalizationResult> canon;
-    std::vector<TermId> display_vars;
-  };
-
-  /// Canonicalization output for the strict-hashed input program, or
-  /// nullopt. `options_bits` folds the CanonicalizeOptions flags.
-  std::optional<CanonArtifact> LookupCanonicalization(
-      uint64_t strict_hash, uint64_t options_bits);
-  void StoreCanonicalization(uint64_t strict_hash, uint64_t options_bits,
-                             CanonArtifact artifact);
-
-  /// Algorithm 3 LFP bits for the strict-hashed canonical program.
-  std::optional<std::vector<bool>> LookupEmptiness(uint64_t strict_hash);
-  void StoreEmptiness(uint64_t strict_hash, const std::vector<bool>& bits);
+  // --- Per-stage memos (thread-safe) -----------------------------------
 
   /// Shared adornment-set memo (grouping-pattern keyed, never evicted).
   AdornmentCache& adornments() { return adornments_; }
@@ -347,10 +359,8 @@ class PipelineCache {
     mutable std::mutex mu;
     Lru lru;  // front = most recently used
     std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
+    /// Only the verdict_* fields are used.
+    PipelineCacheStats stats;
   };
 
   Shard& ShardFor(const CacheKey& key) {
@@ -414,17 +424,13 @@ class PipelineCache {
 
   std::array<DiskShard, kDiskShards> disk_;
 
-  /// Guards the artifact tiers and the non-verdict counters (disk,
-  /// invalidation, canon/emptiness). Never held during disk I/O.
+  /// Guards the disk and invalidation counters. Never held during disk
+  /// I/O.
   mutable std::mutex misc_mu_;
-  /// Only the non-verdict fields are used; `stats()` overlays the
-  /// verdict fields from the shards.
+  /// Only the disk, compaction and invalidation fields are used;
+  /// `stats()` merges in the other tiers' tallies.
   PipelineCacheStats misc_stats_;
 
-  /// Small LRUs for whole-pipeline artifacts (strict-hash keyed).
-  static constexpr size_t kMaxArtifacts = 8;
-  std::list<std::pair<CacheKey, CanonArtifact>> canon_;
-  std::list<std::pair<uint64_t, std::vector<bool>>> emptiness_;
   AdornmentCache adornments_;
   FdClosureCache fd_closures_;
   PredicateHashMemo pred_hashes_;
@@ -440,10 +446,8 @@ class PipelineCache {
   SegmentLru segments_;
   std::unordered_map<CacheKey, SegmentLru::iterator, CacheKeyHash>
       segment_index_;
-  uint64_t segment_hits_ = 0;
-  uint64_t segment_misses_ = 0;
-  uint64_t segment_insertions_ = 0;
-  uint64_t segment_evictions_ = 0;
+  /// Only the segment_* fields are used.
+  PipelineCacheStats segment_stats_;
 };
 
 }  // namespace hornsafe

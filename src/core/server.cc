@@ -4,7 +4,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
@@ -43,17 +42,6 @@ Json OkReply(const Json& id, Json result) {
   reply.Set("ok", true);
   reply.Set("result", std::move(result));
   return reply;
-}
-
-Json VerdictToJson(const ArgumentVerdict& a, bool with_explanations) {
-  Json arg = Json::Object();
-  arg.Set("position", uint64_t{a.position});
-  arg.Set("safety", SafetyName(a.safety));
-  arg.Set("stop", StopReasonName(a.stop));
-  arg.Set("steps", a.steps);
-  arg.Set("graphs_checked", a.graphs_checked);
-  if (with_explanations) arg.Set("explanation", a.explanation);
-  return arg;
 }
 
 /// Bounded MPMC line queue with close semantics: Push blocks while
@@ -136,6 +124,16 @@ void Server::RequestShutdown() {
   cancel_.Cancel();
 }
 
+std::span<const StatField<Server::Counters>> Server::Counters::Fields() {
+  static constexpr StatField<Counters> kFields[] = {
+      HORNSAFE_STAT(Counters, requests),
+      HORNSAFE_STAT(Counters, served),
+      HORNSAFE_STAT(Counters, errors),
+      HORNSAFE_STAT(Counters, shed),
+  };
+  return kFields;
+}
+
 Server::Counters Server::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_;
@@ -149,41 +147,6 @@ size_t Server::workers() const {
 std::shared_ptr<SafetyAnalyzer> Server::served_analyzer() const {
   std::lock_guard<std::mutex> lock(analyzer_mu_);
   return analyzer_;
-}
-
-void Server::AccumulateEphemeral(const SafetyAnalyzer::Counters& c) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ephemeral_seen_ = true;
-  ephemeral_totals_.positions_analyzed += c.positions_analyzed;
-  ephemeral_totals_.subset_searches += c.subset_searches;
-  ephemeral_totals_.steps += c.steps;
-  ephemeral_totals_.graphs_checked += c.graphs_checked;
-  ephemeral_totals_.memo_hits += c.memo_hits;
-  ephemeral_totals_.memo_misses += c.memo_misses;
-  ephemeral_totals_.scc_short_circuits += c.scc_short_circuits;
-  ephemeral_totals_.parallel_tasks += c.parallel_tasks;
-  ephemeral_totals_.serial_tasks += c.serial_tasks;
-  ephemeral_totals_.cache_hits += c.cache_hits;
-  ephemeral_totals_.cache_misses += c.cache_misses;
-  ephemeral_totals_.stage_canonicalize_ns += c.stage_canonicalize_ns;
-  ephemeral_totals_.stage_fingerprint_ns += c.stage_fingerprint_ns;
-  ephemeral_totals_.stage_fd_ns += c.stage_fd_ns;
-  ephemeral_totals_.stage_adorn_ns += c.stage_adorn_ns;
-  ephemeral_totals_.stage_build_ns += c.stage_build_ns;
-  ephemeral_totals_.stage_prune_ns += c.stage_prune_ns;
-  ephemeral_totals_.stage_scc_ns += c.stage_scc_ns;
-  ephemeral_totals_.stage_search_ns += c.stage_search_ns;
-  ephemeral_totals_.segments_total += c.segments_total;
-  ephemeral_totals_.segments_grafted += c.segments_grafted;
-  ephemeral_totals_.segment_grafts_rejected += c.segment_grafts_rejected;
-  ephemeral_totals_.segments_encoded += c.segments_encoded;
-  ephemeral_totals_.nodes_shared += c.nodes_shared;
-  ephemeral_totals_.nodes_owned += c.nodes_owned;
-  // Peaks are gauges: fold with max, not sum.
-  ephemeral_totals_.node_table_peak_nodes = std::max(
-      ephemeral_totals_.node_table_peak_nodes, c.node_table_peak_nodes);
-  ephemeral_totals_.node_table_peak_bytes = std::max(
-      ephemeral_totals_.node_table_peak_bytes, c.node_table_peak_bytes);
 }
 
 ExecContext Server::MakeExec(const Json& request) const {
@@ -354,7 +317,7 @@ Json Server::DoCheck(const Json& request, bool with_explanations,
     q.Set("safety", SafetyName(analysis.overall));
     Json args = Json::Array();
     for (const ArgumentVerdict& a : analysis.args) {
-      args.Append(VerdictToJson(a, with_explanations));
+      args.Append(a.ToJson(with_explanations));
     }
     q.Set("args", std::move(args));
     queries.Append(std::move(q));
@@ -367,13 +330,18 @@ Json Server::DoCheck(const Json& request, bool with_explanations,
       q.Set("safety", SafetyName(analysis.overall));
       Json args = Json::Array();
       for (const ArgumentVerdict& a : analysis.args) {
-        args.Append(VerdictToJson(a, with_explanations));
+        args.Append(a.ToJson(with_explanations));
       }
       q.Set("args", std::move(args));
       queries.Append(std::move(q));
     }
   }
-  if (ephemeral) AccumulateEphemeral(ephemeral->counters());
+  if (ephemeral) {
+    SafetyAnalyzer::Counters c = ephemeral->counters();
+    std::lock_guard<std::mutex> lock(mu_);
+    ephemeral_seen_ = true;
+    MergeStats(c, &ephemeral_totals_);
+  }
   Json result = Json::Object();
   result.Set("queries", std::move(queries));
   return OkReply(request["id"], std::move(result));
@@ -390,91 +358,13 @@ Json Server::DoStats() const {
     // analyzers, so `stats` reflects all analysis work the server did.
     std::lock_guard<std::mutex> lock(mu_);
     if (ephemeral_seen_) have_analyzer = true;
-    c.positions_analyzed += ephemeral_totals_.positions_analyzed;
-    c.subset_searches += ephemeral_totals_.subset_searches;
-    c.steps += ephemeral_totals_.steps;
-    c.graphs_checked += ephemeral_totals_.graphs_checked;
-    c.memo_hits += ephemeral_totals_.memo_hits;
-    c.memo_misses += ephemeral_totals_.memo_misses;
-    c.scc_short_circuits += ephemeral_totals_.scc_short_circuits;
-    c.cache_hits += ephemeral_totals_.cache_hits;
-    c.cache_misses += ephemeral_totals_.cache_misses;
-    c.stage_canonicalize_ns += ephemeral_totals_.stage_canonicalize_ns;
-    c.stage_fingerprint_ns += ephemeral_totals_.stage_fingerprint_ns;
-    c.stage_fd_ns += ephemeral_totals_.stage_fd_ns;
-    c.stage_adorn_ns += ephemeral_totals_.stage_adorn_ns;
-    c.stage_build_ns += ephemeral_totals_.stage_build_ns;
-    c.stage_prune_ns += ephemeral_totals_.stage_prune_ns;
-    c.stage_scc_ns += ephemeral_totals_.stage_scc_ns;
-    c.stage_search_ns += ephemeral_totals_.stage_search_ns;
-    c.segments_total += ephemeral_totals_.segments_total;
-    c.segments_grafted += ephemeral_totals_.segments_grafted;
-    c.segment_grafts_rejected += ephemeral_totals_.segment_grafts_rejected;
-    c.segments_encoded += ephemeral_totals_.segments_encoded;
-    c.nodes_shared += ephemeral_totals_.nodes_shared;
-    c.nodes_owned += ephemeral_totals_.nodes_owned;
-    c.node_table_peak_nodes =
-        std::max(c.node_table_peak_nodes, ephemeral_totals_.node_table_peak_nodes);
-    c.node_table_peak_bytes =
-        std::max(c.node_table_peak_bytes, ephemeral_totals_.node_table_peak_bytes);
+    MergeStats(ephemeral_totals_, &c);
   }
-  if (have_analyzer) {
-    Json a = Json::Object();
-    a.Set("positions_analyzed", c.positions_analyzed);
-    a.Set("subset_searches", c.subset_searches);
-    a.Set("steps", c.steps);
-    a.Set("memo_hits", c.memo_hits);
-    a.Set("memo_misses", c.memo_misses);
-    a.Set("cache_hits", c.cache_hits);
-    a.Set("cache_misses", c.cache_misses);
-    a.Set("snapshot_swaps", c.snapshot_swaps);
-    a.Set("stage_canonicalize_ns", c.stage_canonicalize_ns);
-    a.Set("stage_fingerprint_ns", c.stage_fingerprint_ns);
-    a.Set("stage_fd_ns", c.stage_fd_ns);
-    a.Set("stage_adorn_ns", c.stage_adorn_ns);
-    a.Set("stage_build_ns", c.stage_build_ns);
-    a.Set("stage_prune_ns", c.stage_prune_ns);
-    a.Set("stage_scc_ns", c.stage_scc_ns);
-    a.Set("stage_search_ns", c.stage_search_ns);
-    a.Set("segments_total", c.segments_total);
-    a.Set("segments_grafted", c.segments_grafted);
-    a.Set("segment_grafts_rejected", c.segment_grafts_rejected);
-    a.Set("segments_encoded", c.segments_encoded);
-    a.Set("nodes_shared", c.nodes_shared);
-    a.Set("nodes_owned", c.nodes_owned);
-    a.Set("node_table_peak_nodes", c.node_table_peak_nodes);
-    a.Set("node_table_peak_bytes", c.node_table_peak_bytes);
-    result.Set("analyzer", std::move(a));
-  }
+  if (have_analyzer) result.Set("analyzer", StatsToJson(c));
   if (options_.cache != nullptr) {
-    PipelineCacheStats s = options_.cache->stats();
-    Json cs = Json::Object();
-    cs.Set("verdict_hits", s.verdict_hits);
-    cs.Set("verdict_misses", s.verdict_misses);
-    cs.Set("disk_hits", s.disk_hits);
-    cs.Set("disk_misses", s.disk_misses);
-    cs.Set("disk_corrupt", s.disk_corrupt);
-    cs.Set("disk_write_failures", s.disk_write_failures);
-    cs.Set("disk_write_skips", s.disk_write_skips);
-    cs.Set("disk_retry_attempts", s.disk_retry_attempts);
-    cs.Set("lease_acquisitions", s.lease_acquisitions);
-    cs.Set("torn_tails_repaired", s.torn_tails_repaired);
-    cs.Set("segment_hits", s.segment_hits);
-    cs.Set("segment_misses", s.segment_misses);
-    cs.Set("segment_insertions", s.segment_insertions);
-    cs.Set("segment_evictions", s.segment_evictions);
-    cs.Set("fd_index_hits", s.fd_index_hits);
-    cs.Set("fd_index_misses", s.fd_index_misses);
-    cs.Set("pred_hash_hits", s.pred_hash_hits);
-    cs.Set("pred_hash_misses", s.pred_hash_misses);
-    result.Set("cache", std::move(cs));
+    result.Set("cache", StatsToJson(options_.cache->stats()));
   }
-  Counters sc = counters();
-  Json srv = Json::Object();
-  srv.Set("requests", sc.requests);
-  srv.Set("served", sc.served);
-  srv.Set("errors", sc.errors);
-  srv.Set("shed", sc.shed);
+  Json srv = StatsToJson(counters());
   srv.Set("workers", uint64_t{workers()});
   result.Set("server", std::move(srv));
   return OkReply(Json(), std::move(result));

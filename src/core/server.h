@@ -7,6 +7,7 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 
 #include "core/analyzer.h"
@@ -14,6 +15,7 @@
 #include "lang/program.h"
 #include "util/deadline.h"
 #include "util/json.h"
+#include "util/stats.h"
 #include "util/status.h"
 
 namespace hornsafe {
@@ -164,6 +166,10 @@ class Server {
     uint64_t served = 0;     // replies produced by HandleLine
     uint64_t errors = 0;     // error replies (malformed, failed, ...)
     uint64_t shed = 0;       // replies produced by load-shedding
+
+    /// The schema (util/stats.h): every field above, in rendering
+    /// order.
+    static std::span<const StatField<Counters>> Fields();
   };
   Counters counters() const;
 
@@ -191,10 +197,6 @@ class Server {
   /// published snapshot, never the analyzer identity).
   std::shared_ptr<SafetyAnalyzer> served_analyzer() const;
 
-  /// Folds a finished ephemeral (check-with-program) analyzer's
-  /// counters into the server-wide analyzer totals reported by stats.
-  void AccumulateEphemeral(const SafetyAnalyzer::Counters& c);
-
   /// The per-request failure-model context: the request's deadline (or
   /// the server default) plus the server's cancellation token.
   ExecContext MakeExec(const Json& request) const;
@@ -211,8 +213,8 @@ class Server {
 
   mutable std::mutex mu_;  // guards counters_ and the ephemeral totals
   Counters counters_;
-  /// Search-counter totals of completed ephemeral analyzers, merged
-  /// into the served analyzer's counters by `stats`.
+  /// Counter totals of completed ephemeral (check-with-program)
+  /// analyzers, merged into the served analyzer's counters by `stats`.
   SafetyAnalyzer::Counters ephemeral_totals_;
   bool ephemeral_seen_ = false;
 };

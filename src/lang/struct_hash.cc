@@ -318,8 +318,4 @@ uint64_t StructuralProgramHash(const Program& program) {
   return FoldSorted(kSeedProgram, std::move(parts));
 }
 
-uint64_t StrictProgramHash(const Program& program) {
-  return HashBytes(program.ToString());
-}
-
 }  // namespace hornsafe

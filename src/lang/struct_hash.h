@@ -81,13 +81,6 @@ std::vector<uint64_t> StrictPredicateKeys(const Program& program);
 /// the sorted query-literal hashes. Alpha- and clause-order-invariant.
 uint64_t StructuralProgramHash(const Program& program);
 
-/// *Strict* program hash: a hash of the full rendered listing
-/// (`Program::ToString()`), sensitive to clause order and variable
-/// names. Used to key caches whose payloads must be bit-identical to a
-/// cold run (canonicalization output, LFP bits), where "equivalent up
-/// to renaming" is not enough.
-uint64_t StrictProgramHash(const Program& program);
-
 /// splitmix64-style finalizer used throughout; exposed for callers that
 /// mix extra context (options bits) into a key.
 uint64_t MixHash(uint64_t x);

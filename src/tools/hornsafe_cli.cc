@@ -53,6 +53,7 @@
 #include "parser/parser.h"
 #include "transform/simplify.h"
 #include "util/json.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 namespace hornsafe {
@@ -213,173 +214,23 @@ void PrintTuples(const Program& p, const std::vector<Tuple>& tuples) {
   }
 }
 
-void PrintAnalyzerStats(const SafetyAnalyzer& analyzer) {
-  SafetyAnalyzer::Counters c = analyzer.counters();
-  std::printf(
-      "analysis stats:\n"
-      "  positions analyzed:   %llu\n"
-      "  subset searches:      %llu\n"
-      "  search steps spent:   %llu\n"
-      "  AND-graphs checked:   %llu\n"
-      "  memo hits / misses:   %llu / %llu\n"
-      "  SCC short-circuits:   %llu\n"
-      "  parallel tasks:       %llu\n"
-      "  serial tasks:         %llu\n",
-      static_cast<unsigned long long>(c.positions_analyzed),
-      static_cast<unsigned long long>(c.subset_searches),
-      static_cast<unsigned long long>(c.steps),
-      static_cast<unsigned long long>(c.graphs_checked),
-      static_cast<unsigned long long>(c.memo_hits),
-      static_cast<unsigned long long>(c.memo_misses),
-      static_cast<unsigned long long>(c.scc_short_circuits),
-      static_cast<unsigned long long>(c.parallel_tasks),
-      static_cast<unsigned long long>(c.serial_tasks));
-  if (c.cache_hits + c.cache_misses > 0) {
-    std::printf(
-        "  cache hits / misses:  %llu / %llu\n",
-        static_cast<unsigned long long>(c.cache_hits),
-        static_cast<unsigned long long>(c.cache_misses));
+/// `check --stats`: the analyzer counters and, with a cache, the cache
+/// stats, one "name: value" line per schema field (util/stats.h).
+void PrintStats(const SafetyAnalyzer& analyzer, const PipelineCache* cache) {
+  std::printf("analyzer:\n%s", StatsToText(analyzer.counters()).c_str());
+  if (cache != nullptr) {
+    std::printf("cache:\n%s", StatsToText(cache->stats()).c_str());
   }
-  std::printf(
-      "  segments grafted / total:    %llu / %llu (rejected %llu, encoded "
-      "%llu)\n"
-      "  nodes shared / owned:        %llu / %llu\n"
-      "  node table peak:             %llu nodes, %llu bytes\n"
-      "  stage times (ms): canonicalize %.2f, fingerprint %.2f, fd %.2f, "
-      "adorn %.2f, build %.2f, prune %.2f, scc %.2f, search %.2f\n",
-      static_cast<unsigned long long>(c.segments_grafted),
-      static_cast<unsigned long long>(c.segments_total),
-      static_cast<unsigned long long>(c.segment_grafts_rejected),
-      static_cast<unsigned long long>(c.segments_encoded),
-      static_cast<unsigned long long>(c.nodes_shared),
-      static_cast<unsigned long long>(c.nodes_owned),
-      static_cast<unsigned long long>(c.node_table_peak_nodes),
-      static_cast<unsigned long long>(c.node_table_peak_bytes),
-      c.stage_canonicalize_ns / 1e6, c.stage_fingerprint_ns / 1e6,
-      c.stage_fd_ns / 1e6, c.stage_adorn_ns / 1e6, c.stage_build_ns / 1e6,
-      c.stage_prune_ns / 1e6, c.stage_scc_ns / 1e6,
-      c.stage_search_ns / 1e6);
 }
 
-/// `check --stats-json`: one machine-readable JSON object on stdout.
-/// Per-stage wall clocks stay in nanoseconds (the native resolution);
-/// consumers convert. Shape mirrors the serve `stats` reply so the same
-/// tooling can parse both.
+/// `check --stats-json`: the same `analyzer` and `cache` objects as
+/// the serve `stats` reply, as one JSON line on stdout.
 void PrintStatsJson(const SafetyAnalyzer& analyzer,
                     const PipelineCache* cache) {
-  SafetyAnalyzer::Counters c = analyzer.counters();
   Json root = Json::Object();
-  Json a = Json::Object();
-  a.Set("positions_analyzed", c.positions_analyzed);
-  a.Set("subset_searches", c.subset_searches);
-  a.Set("steps", c.steps);
-  a.Set("graphs_checked", c.graphs_checked);
-  a.Set("memo_hits", c.memo_hits);
-  a.Set("memo_misses", c.memo_misses);
-  a.Set("scc_short_circuits", c.scc_short_circuits);
-  a.Set("parallel_tasks", c.parallel_tasks);
-  a.Set("serial_tasks", c.serial_tasks);
-  a.Set("cache_hits", c.cache_hits);
-  a.Set("cache_misses", c.cache_misses);
-  a.Set("segments_total", c.segments_total);
-  a.Set("segments_grafted", c.segments_grafted);
-  a.Set("segment_grafts_rejected", c.segment_grafts_rejected);
-  a.Set("segments_encoded", c.segments_encoded);
-  a.Set("nodes_shared", c.nodes_shared);
-  a.Set("nodes_owned", c.nodes_owned);
-  a.Set("node_table_peak_nodes", c.node_table_peak_nodes);
-  a.Set("node_table_peak_bytes", c.node_table_peak_bytes);
-  Json stages = Json::Object();
-  stages.Set("canonicalize_ns", c.stage_canonicalize_ns);
-  stages.Set("fingerprint_ns", c.stage_fingerprint_ns);
-  stages.Set("fd_ns", c.stage_fd_ns);
-  stages.Set("adorn_ns", c.stage_adorn_ns);
-  stages.Set("build_ns", c.stage_build_ns);
-  stages.Set("prune_ns", c.stage_prune_ns);
-  stages.Set("scc_ns", c.stage_scc_ns);
-  stages.Set("search_ns", c.stage_search_ns);
-  a.Set("stages", std::move(stages));
-  root.Set("analyzer", std::move(a));
-  if (cache != nullptr) {
-    PipelineCacheStats s = cache->stats();
-    Json cs = Json::Object();
-    cs.Set("verdict_hits", s.verdict_hits);
-    cs.Set("verdict_misses", s.verdict_misses);
-    cs.Set("verdict_insertions", s.verdict_insertions);
-    cs.Set("verdict_evictions", s.verdict_evictions);
-    cs.Set("disk_hits", s.disk_hits);
-    cs.Set("disk_misses", s.disk_misses);
-    cs.Set("disk_corrupt", s.disk_corrupt);
-    cs.Set("disk_write_failures", s.disk_write_failures);
-    cs.Set("cones_invalidated", s.cones_invalidated);
-    cs.Set("canon_hits", s.canon_hits);
-    cs.Set("canon_misses", s.canon_misses);
-    cs.Set("emptiness_hits", s.emptiness_hits);
-    cs.Set("emptiness_misses", s.emptiness_misses);
-    cs.Set("segment_hits", s.segment_hits);
-    cs.Set("segment_misses", s.segment_misses);
-    cs.Set("segment_insertions", s.segment_insertions);
-    cs.Set("segment_evictions", s.segment_evictions);
-    cs.Set("fd_index_hits", s.fd_index_hits);
-    cs.Set("fd_index_misses", s.fd_index_misses);
-    cs.Set("pred_hash_hits", s.pred_hash_hits);
-    cs.Set("pred_hash_misses", s.pred_hash_misses);
-    cs.Set("lease_acquisitions", s.lease_acquisitions);
-    cs.Set("torn_tails_repaired", s.torn_tails_repaired);
-    cs.Set("compactions_run", s.compactions_run);
-    root.Set("cache", std::move(cs));
-  }
+  root.Set("analyzer", StatsToJson(analyzer.counters()));
+  if (cache != nullptr) root.Set("cache", StatsToJson(cache->stats()));
   std::printf("%s\n", root.Dump().c_str());
-}
-
-void PrintCacheStats(const PipelineCache& cache) {
-  PipelineCacheStats s = cache.stats();
-  std::printf(
-      "pipeline cache stats:\n"
-      "  verdict hits / misses:    %llu / %llu\n"
-      "  insertions / evictions:   %llu / %llu\n"
-      "  disk hits / misses:       %llu / %llu\n"
-      "  disk corrupt / failed:    %llu / %llu\n"
-      "  cones invalidated:        %llu\n"
-      "  canon hits / misses:      %llu / %llu\n"
-      "  emptiness hits / misses:  %llu / %llu\n",
-      static_cast<unsigned long long>(s.verdict_hits),
-      static_cast<unsigned long long>(s.verdict_misses),
-      static_cast<unsigned long long>(s.verdict_insertions),
-      static_cast<unsigned long long>(s.verdict_evictions),
-      static_cast<unsigned long long>(s.disk_hits),
-      static_cast<unsigned long long>(s.disk_misses),
-      static_cast<unsigned long long>(s.disk_corrupt),
-      static_cast<unsigned long long>(s.disk_write_failures),
-      static_cast<unsigned long long>(s.cones_invalidated),
-      static_cast<unsigned long long>(s.canon_hits),
-      static_cast<unsigned long long>(s.canon_misses),
-      static_cast<unsigned long long>(s.emptiness_hits),
-      static_cast<unsigned long long>(s.emptiness_misses));
-  std::printf(
-      "  segment hits / misses:    %llu / %llu\n"
-      "  fd index hits / misses:   %llu / %llu\n"
-      "  pred hash hits / misses:  %llu / %llu\n",
-      static_cast<unsigned long long>(s.segment_hits),
-      static_cast<unsigned long long>(s.segment_misses),
-      static_cast<unsigned long long>(s.fd_index_hits),
-      static_cast<unsigned long long>(s.fd_index_misses),
-      static_cast<unsigned long long>(s.pred_hash_hits),
-      static_cast<unsigned long long>(s.pred_hash_misses));
-  if (s.lease_acquisitions + s.torn_tails_repaired + s.compactions_run +
-          s.compactions_skipped >
-      0) {
-    std::printf(
-        "  shard locks taken:        %llu (torn tails repaired %llu)\n"
-        "  compactions run/skipped:  %llu / %llu (removed %llu entries, "
-        "%llu bytes)\n",
-        static_cast<unsigned long long>(s.lease_acquisitions),
-        static_cast<unsigned long long>(s.torn_tails_repaired),
-        static_cast<unsigned long long>(s.compactions_run),
-        static_cast<unsigned long long>(s.compactions_skipped),
-        static_cast<unsigned long long>(s.compaction_entries_removed),
-        static_cast<unsigned long long>(s.compaction_bytes_removed));
-  }
 }
 
 /// Prints the merged lint diagnostics for `program` to stdout, one per
@@ -507,10 +358,7 @@ int CmdCheck(const char* path) {
     if (analysis.overall != Safety::kSafe) all_safe = false;
     std::printf("\n");
   }
-  if (g_flags.stats) {
-    PrintAnalyzerStats(*analyzer);
-    if (cache) PrintCacheStats(*cache);
-  }
+  if (g_flags.stats) PrintStats(*analyzer, cache.get());
   if (g_flags.stats_json) PrintStatsJson(*analyzer, cache.get());
   return all_safe ? 0 : 2;
 }

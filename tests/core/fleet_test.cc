@@ -21,6 +21,7 @@
 #include "core/pipeline_cache.h"
 #include "parser/parser.h"
 #include "util/json.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 namespace hornsafe {
@@ -238,6 +239,45 @@ TEST_F(FleetTest, JsonReportHasTheDocumentedShape) {
   // The text rendering mentions the essentials without crashing.
   std::string text = report->ToText();
   EXPECT_NE(text.find("programs"), std::string::npos);
+}
+
+// The worker's summary line renders the cache schema field for field
+// (its names are pinned in stats_schema_test.cc); the driver folds it
+// back into the report's cache totals.
+TEST_F(FleetTest, WorkerSummaryRendersTheCacheSchema) {
+  WriteSharedCorpus(2);
+  const fs::path list = root_ / "programs";
+  {
+    std::ofstream out(list);
+    for (const std::string& rel : ListCorpus(corpus_.string())) {
+      out << rel << "\t" << (corpus_ / rel).string() << "\n";
+    }
+  }
+  std::ofstream(root_ / "programs.next").flush();
+  const fs::path out_file = root_ / "out";
+  auto loader = [](const std::string& path) -> Result<Program> {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return ParseProgram(text.str());
+  };
+  ASSERT_EQ(FleetWorkerMain(list.string(), out_file.string(),
+                            cache_.string(), 1, loader),
+            0);
+  std::ifstream in(out_file);
+  std::string line, last;
+  while (std::getline(in, line)) {
+    if (!line.empty()) last = line;
+  }
+  Result<Json> summary = Json::Parse(last);
+  ASSERT_TRUE(summary.ok()) << last;
+  EXPECT_TRUE((*summary)["done"].AsBool());
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : (*summary)["cache"].members()) {
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, StatNames<PipelineCacheStats>());
+  EXPECT_GT((*summary)["cache"]["lease_acquisitions"].AsInt(), 0) << last;
 }
 
 TEST_F(FleetTest, MemoryOnlyFleetStillWorksWithoutCacheDir) {

@@ -273,19 +273,6 @@ TEST(PipelineCacheTest, KeyHexIsFilesystemSafeAndUnique) {
             "00000000deadbeef-123456789abcdef0");
 }
 
-TEST(PipelineCacheTest, EmptinessTierRoundtrip) {
-  PipelineCache cache;
-  std::vector<bool> bits = {true, false, true};
-  EXPECT_FALSE(cache.LookupEmptiness(99).has_value());
-  cache.StoreEmptiness(99, bits);
-  auto hit = cache.LookupEmptiness(99);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, bits);
-  PipelineCacheStats s = cache.stats();
-  EXPECT_EQ(s.emptiness_hits, 1u);
-  EXPECT_EQ(s.emptiness_misses, 1u);
-}
-
 TEST(PipelineCacheTest, InvalidationCounter) {
   PipelineCache cache;
   cache.NoteInvalidatedCones(3);
@@ -409,23 +396,6 @@ TEST(PipelineCacheTest, CorruptSegmentEntryFallsBackBitIdentical) {
   for (size_t i = 0; i < wq.size(); ++i) {
     EXPECT_EQ(wq[i].overall, cq[i].overall) << "query " << i;
   }
-}
-
-TEST(PipelineCacheTest, CanonTierSharesOneFrozenArtifact) {
-  PipelineCache cache;
-  EXPECT_FALSE(cache.LookupCanonicalization(11, 0).has_value());
-  auto canon = std::make_shared<const CanonicalizationResult>();
-  cache.StoreCanonicalization(11, 0, {canon, {1, 2, 3}});
-  auto hit = cache.LookupCanonicalization(11, 0);
-  ASSERT_TRUE(hit.has_value());
-  // The tier hands back the same frozen object, not a deep copy, and
-  // the display-variable ids ride along with it.
-  EXPECT_EQ(hit->canon.get(), canon.get());
-  EXPECT_EQ(hit->display_vars, (std::vector<TermId>{1, 2, 3}));
-  // Option bits are part of the key; null artifacts are not stored.
-  EXPECT_FALSE(cache.LookupCanonicalization(11, 1).has_value());
-  cache.StoreCanonicalization(12, 0, {nullptr, {}});
-  EXPECT_FALSE(cache.LookupCanonicalization(12, 0).has_value());
 }
 
 }  // namespace

@@ -12,7 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "core/analyzer.h"
+#include "core/pipeline_cache.h"
 #include "util/json.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 #ifndef HORNSAFE_CLI_PATH
@@ -245,81 +248,137 @@ TEST(CliTest, CheckSeesUndeclaredBuiltinsAsInfinite) {
   EXPECT_NE(r.output.find("finite intermediate:  yes"), std::string::npos);
 }
 
-TEST(CliTest, CheckWithCacheDirWarmRunHits) {
-  std::string dir = StrCat("/tmp/hornsafe_cli_cache_", getpid());
-  std::string rm = StrCat("rm -rf ", dir);
-  ASSERT_EQ(system(rm.c_str()), 0);
-  std::string args = StrCat("check --stats --cache-dir ", dir, " ",
-                            ProgramPath("ancestor.hs"));
-  // Cold run populates the cache directory...
-  CliResult cold = RunCli(args);
-  EXPECT_EQ(cold.exit_code, 0) << cold.output;
-  EXPECT_NE(cold.output.find("pipeline cache stats:"), std::string::npos)
-      << cold.output;
-  // ...and a second process serves its searches from disk: hits > 0 and
-  // identical report text up to the stats block.
-  CliResult warm = RunCli(args);
-  EXPECT_EQ(warm.exit_code, 0) << warm.output;
-  EXPECT_NE(warm.output.find("disk hits / misses:       "),
-            std::string::npos)
-      << warm.output;
-  size_t cold_cut = cold.output.find("analysis stats:");
-  size_t warm_cut = warm.output.find("analysis stats:");
-  ASSERT_NE(cold_cut, std::string::npos);
-  ASSERT_NE(warm_cut, std::string::npos);
-  EXPECT_EQ(cold.output.substr(0, cold_cut),
-            warm.output.substr(0, warm_cut));
-  // The warm run really hit: its verdict tier reports at least one hit.
-  EXPECT_EQ(warm.output.find("disk hits / misses:       0 /"),
-            std::string::npos)
-      << warm.output;
-  ASSERT_EQ(system(rm.c_str()), 0);
-}
-
 std::vector<std::string> Keys(const Json& object) {
   std::vector<std::string> keys;
   for (const auto& [key, value] : object.members()) keys.push_back(key);
   return keys;
 }
 
-// The field names of `check --stats-json` are a public surface: adding
-// or removing one must show up here.
-TEST(CliTest, StatsJsonFieldNamesArePinned) {
+/// The JSON object on the last line of `output` (the `--stats-json`
+/// object after the verdict report, or the last serve reply).
+Json LastJsonLine(const std::string& output) {
+  size_t begin = output.rfind("\n{");
+  begin = begin == std::string::npos ? 0 : begin + 1;
+  Result<Json> parsed = Json::Parse(output.substr(begin));
+  EXPECT_TRUE(parsed.ok()) << output;
+  return parsed.ok() ? *parsed : Json();
+}
+
+/// Writes `text` to a fresh temporary file and returns its path.
+std::string WriteTemp(const std::string& text) {
+  char path[] = "/tmp/hornsafe_cli_test_XXXXXX";
+  int fd = mkstemp(path);
+  EXPECT_GE(fd, 0);
+  EXPECT_EQ(write(fd, text.data(), text.size()),
+            static_cast<ssize_t>(text.size()));
+  close(fd);
+  return path;
+}
+
+TEST(CliTest, CheckWithCacheDirWarmRunHits) {
+  std::string dir = StrCat("/tmp/hornsafe_cli_cache_", getpid());
+  std::string rm = StrCat("rm -rf ", dir);
+  ASSERT_EQ(system(rm.c_str()), 0);
+  std::string args = StrCat("check --stats-json --cache-dir ", dir, " ",
+                            ProgramPath("ancestor.hs"));
+  // Cold run populates the cache directory...
+  CliResult cold = RunCli(args);
+  EXPECT_EQ(cold.exit_code, 0) << cold.output;
+  EXPECT_EQ(LastJsonLine(cold.output)["cache"]["disk_hits"].AsInt(-1), 0)
+      << cold.output;
+  // ...and a second process serves its searches from disk, with the
+  // same report text up to the stats line.
+  CliResult warm = RunCli(args);
+  EXPECT_EQ(warm.exit_code, 0) << warm.output;
+  EXPECT_GT(LastJsonLine(warm.output)["cache"]["disk_hits"].AsInt(0), 0)
+      << warm.output;
+  size_t cold_cut = cold.output.rfind("\n{");
+  size_t warm_cut = warm.output.rfind("\n{");
+  ASSERT_NE(cold_cut, std::string::npos);
+  ASSERT_NE(warm_cut, std::string::npos);
+  EXPECT_EQ(cold.output.substr(0, cold_cut),
+            warm.output.substr(0, warm_cut));
+  ASSERT_EQ(system(rm.c_str()), 0);
+}
+
+// `--stats-json` renders the analyzer and cache schemas field for field
+// (their names are pinned in tests/core/stats_schema_test.cc).
+TEST(CliTest, StatsJsonRendersTheSchemas) {
   CliResult r =
       RunCli(StrCat("check --stats-json ", ProgramPath("ancestor.hs")));
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  // The JSON object is the last line of the output.
-  size_t begin = r.output.rfind("\n{");
-  ASSERT_NE(begin, std::string::npos) << r.output;
-  Result<Json> parsed = Json::Parse(r.output.substr(begin + 1));
-  ASSERT_TRUE(parsed.ok()) << r.output;
-  const Json& root = *parsed;
+  Json root = LastJsonLine(r.output);
   EXPECT_EQ(Keys(root), (std::vector<std::string>{"analyzer", "cache"}));
-  EXPECT_EQ(Keys(root["analyzer"]),
-            (std::vector<std::string>{
-                "positions_analyzed", "subset_searches", "steps",
-                "graphs_checked", "memo_hits", "memo_misses",
-                "scc_short_circuits", "parallel_tasks", "serial_tasks",
-                "cache_hits", "cache_misses", "segments_total",
-                "segments_grafted", "segment_grafts_rejected",
-                "segments_encoded", "nodes_shared", "nodes_owned",
-                "node_table_peak_nodes", "node_table_peak_bytes",
-                "stages"}));
-  EXPECT_EQ(Keys(root["analyzer"]["stages"]),
-            (std::vector<std::string>{"canonicalize_ns", "fingerprint_ns",
-                                      "fd_ns", "adorn_ns", "build_ns",
-                                      "prune_ns", "scc_ns", "search_ns"}));
-  EXPECT_EQ(Keys(root["cache"]),
-            (std::vector<std::string>{
-                "verdict_hits", "verdict_misses", "verdict_insertions",
-                "verdict_evictions", "disk_hits", "disk_misses",
-                "disk_corrupt", "disk_write_failures", "cones_invalidated",
-                "canon_hits", "canon_misses", "emptiness_hits",
-                "emptiness_misses", "segment_hits", "segment_misses",
-                "segment_insertions", "segment_evictions", "fd_index_hits",
-                "fd_index_misses", "pred_hash_hits", "pred_hash_misses",
-                "lease_acquisitions", "torn_tails_repaired",
-                "compactions_run"}));
+  EXPECT_EQ(Keys(root["analyzer"]), StatNames<AnalyzerCounters>());
+  EXPECT_EQ(Keys(root["cache"]), StatNames<PipelineCacheStats>());
+}
+
+// `--stats` prints the same fields as text, one "name: value" line each.
+TEST(CliTest, StatsTextListsEverySchemaField) {
+  CliResult r = RunCli(StrCat("check --stats ", ProgramPath("ancestor.hs")));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  size_t analyzer = r.output.find("\nanalyzer:\n");
+  size_t cache = r.output.find("\ncache:\n");
+  ASSERT_NE(analyzer, std::string::npos) << r.output;
+  ASSERT_NE(cache, std::string::npos) << r.output;
+  for (const std::string& name : StatNames<AnalyzerCounters>()) {
+    size_t at = r.output.find(StrCat("\n  ", name, ": "), analyzer);
+    EXPECT_LT(at, cache) << name;
+  }
+  for (const std::string& name : StatNames<PipelineCacheStats>()) {
+    EXPECT_NE(r.output.find(StrCat("\n  ", name, ": "), cache),
+              std::string::npos)
+        << name;
+  }
+}
+
+// One program, two surfaces: `check --stats-json` and an inline-program
+// serve `check` followed by `stats` report the same key sets and the
+// same search counters, serially and across the search pool. Every
+// query of the program is safe, so the re-analysis `check` runs for its
+// termination verdict is served from the cache and adds no search work.
+TEST(CliTest, CheckAndServeReportTheSameCounters) {
+  const std::string program =
+      ".infinite t/2.\n"
+      ".fd t: 2 -> 1.\n"
+      "r(X,Y) :- t(X,A), t(Y,B), r(A,B), a(A), a(B).\n"
+      "r(X,Y) :- b(X,Y).\n"
+      "?- r(X,Y).\n";
+  const std::string program_path = WriteTemp(program);
+  Json check = Json::Object();
+  check.Set("id", int64_t{1});
+  check.Set("method", "check");
+  check.Set("program", program);
+  const std::string requests_path = WriteTemp(
+      StrCat(check.Dump(), "\n", "{\"id\": 2, \"method\": \"stats\"}\n"));
+  for (int jobs : {1, 2}) {
+    CliResult cli = RunCli(
+        StrCat("check --stats-json --jobs ", jobs, " ", program_path));
+    EXPECT_EQ(cli.exit_code, 0) << cli.output;
+    CliResult serve =
+        RunCli(StrCat("serve --jobs ", jobs, " < ", requests_path));
+    EXPECT_EQ(serve.exit_code, 0) << serve.output;
+    const Json cli_stats = LastJsonLine(cli.output);
+    const Json serve_stats = LastJsonLine(serve.output)["result"];
+    for (const char* object : {"analyzer", "cache"}) {
+      EXPECT_EQ(Keys(cli_stats[object]), Keys(serve_stats[object]))
+          << object;
+    }
+    const Json& a = cli_stats["analyzer"];
+    const Json& b = serve_stats["analyzer"];
+    EXPECT_GT(a["scc_short_circuits"].AsInt(), 0) << cli.output;
+    EXPECT_GT(a[jobs == 1 ? "serial_tasks" : "parallel_tasks"].AsInt(), 0)
+        << cli.output;
+    for (const char* counter : {"graphs_checked", "scc_short_circuits",
+                                "parallel_tasks", "serial_tasks"}) {
+      EXPECT_EQ(a[counter].AsInt(-1), b[counter].AsInt(-2))
+          << counter << " at jobs " << jobs << "\n"
+          << cli.output << "\n"
+          << serve.output;
+    }
+  }
+  unlink(program_path.c_str());
+  unlink(requests_path.c_str());
 }
 
 TEST(CliTest, CheckNoCacheMatchesCachedVerdicts) {
