@@ -62,11 +62,6 @@ const std::vector<Adornment>& AdornmentCache::For(const TermPool& pool,
                                                  const Literal& lit) {
   (void)pool;
   std::vector<uint32_t> pattern = GroupPattern(lit);
-  // The pattern enumeration is cheap enough to run under the lock; two
-  // builders racing on the same new pattern is resolved by emplace,
-  // which keeps the first entry (so outstanding references never see a
-  // replacement).
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = memo_.find(pattern);
   if (it == memo_.end()) {
     std::vector<Adornment> adornments = AdornmentsForPattern(pattern);
@@ -117,11 +112,9 @@ std::string AdornedProgram::ToString(const Program& program) const {
   return out;
 }
 
-Result<AdornedProgram> BuildAdornedProgram(const Program& canonical,
-                                           AdornmentCache* cache) {
+Result<AdornedProgram> BuildAdornedProgram(const Program& canonical) {
   AdornedProgram out;
-  AdornmentCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
+  AdornmentCache cache;
   uint32_t next_occurrence = 0;
   for (uint32_t ri = 0; ri < canonical.rules().size(); ++ri) {
     const Rule& rule = canonical.rules()[ri];
@@ -145,7 +138,7 @@ Result<AdornedProgram> BuildAdornedProgram(const Program& canonical,
       }
     }
     const std::vector<Adornment>& adornments =
-        cache->For(canonical.terms(), rule.head);
+        cache.For(canonical.terms(), rule.head);
     for (const Adornment& a : adornments) {
       AdornedRule ar;
       ar.head_pred = rule.head.pred;

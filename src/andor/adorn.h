@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,27 +38,18 @@ std::vector<Adornment> ConsistentAdornments(const TermPool& pool,
 
 /// Memoizing wrapper around ConsistentAdornments. The result depends
 /// only on the literal's *grouping pattern* — which positions hold the
-/// same variable — so r(X,Y), s(A,B) and r(U,V) all share one cache
-/// entry, and the 2^groups enumeration runs once per pattern instead of
-/// once per occurrence. One cache serves literals of any predicate, and
-/// may be probed from concurrent pipeline builds (it lives inside the
-/// shared PipelineCache): lookups are internally locked, and entries
-/// are never evicted or overwritten, so a returned reference stays
-/// valid and immutable for the cache's lifetime even across concurrent
-/// inserts (std::map nodes are address-stable).
+/// same variable — so r(X,Y), s(A,B) and r(U,V) all share one entry,
+/// and the 2^groups enumeration runs once per pattern instead of once
+/// per occurrence. One memo serves literals of any predicate within one
+/// build; it is not shared across builds or threads.
 class AdornmentCache {
  public:
   /// Cached ConsistentAdornments(pool, lit). The reference stays valid
-  /// until the cache is destroyed (entries are never evicted).
+  /// until the cache is destroyed (entries are never evicted, and
+  /// std::map nodes are address-stable).
   const std::vector<Adornment>& For(const TermPool& pool, const Literal& lit);
 
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return memo_.size();
-  }
-
  private:
-  mutable std::mutex mu_;
   /// Key: first-occurrence group index per argument position.
   std::map<std::vector<uint32_t>, std::vector<Adornment>> memo_;
 };
@@ -104,12 +94,8 @@ struct AdornedProgram {
 };
 
 /// Builds H* from a canonical program. Fails with InvalidProgram if any
-/// rule argument is not a variable (run Canonicalize first). When
-/// `cache` is non-null its adornment sets are reused (and extended);
-/// keys are program-independent grouping patterns, so one cache may
-/// serve any number of programs.
-Result<AdornedProgram> BuildAdornedProgram(const Program& canonical,
-                                           AdornmentCache* cache = nullptr);
+/// rule argument is not a variable (run Canonicalize first).
+Result<AdornedProgram> BuildAdornedProgram(const Program& canonical);
 
 }  // namespace hornsafe
 

@@ -1,6 +1,9 @@
 #include "andor/build.h"
 
 #include <algorithm>
+#include <unordered_map>
+
+#include "fd/fd.h"
 
 namespace hornsafe {
 
@@ -14,20 +17,21 @@ class SystemBuilder {
       : program_(program), adorned_(adorned), opts_(opts) {}
 
   Result<AndOrSystem> Run() {
-    if (opts_.segments == nullptr) {
-      ProcessAdornedRange(0, adorned_.rules.size());
-      return std::move(system_);
+    // One component at a time. Planned segments graft wholesale (nodes,
+    // rules, deleted bits — no Intern*/AddRule calls at all); everything
+    // else goes through the normal per-rule path. Every component
+    // leaves a SegmentSpan so later stages can prune, slice and seal
+    // per span. The plan tiles the canonical rules, so the spans tile
+    // the system.
+    SegmentPlan fresh;
+    const SegmentPlan* plan = opts_.segments;
+    if (plan == nullptr) {
+      fresh = FreshPlan(ComputeComponentPartition(program_));
+      plan = &fresh;
     }
-
-    // Segment-planned build: one component at a time. Clean components
-    // graft their cached segment wholesale (nodes, rules, deleted bits
-    // — no Intern*/AddRule calls at all); everything else goes through
-    // the normal per-rule path. Every component leaves a SegmentSpan so
-    // later stages can prune, slice and seal per span. The plan tiles
-    // the canonical rules, so the spans tile the system.
     SegmentBuildStats* stats = opts_.segment_stats;
     size_t ai = 0;
-    for (const SegmentGraft& comp : opts_.segments->components) {
+    for (const SegmentGraft& comp : plan->components) {
       const uint32_t src_end = comp.first_rule + comp.num_rules;
       size_t aj = ai;
       uint32_t occ_base = 0;
@@ -268,19 +272,9 @@ class SystemBuilder {
     return it->second;
   }
 
-  /// Determinants of argument `k`, from the shared frozen index when the
-  /// caller provided one for this predicate, else the local lazy index.
+  /// Determinants of argument `k` of `pred`.
   const std::vector<AttrSet>& DeterminantsFor(PredicateId pred,
                                               uint32_t arity, uint32_t k) {
-    if (opts_.fd_indexes != nullptr) {
-      auto it = opts_.fd_indexes->find(pred);
-      if (it != opts_.fd_indexes->end() && it->second != nullptr &&
-          it->second->frozen()) {
-        const FdClosureIndex& idx = *it->second;
-        return opts_.use_fd_closure ? idx.Minimal(arity, k)
-                                    : idx.Declared(k);
-      }
-    }
     FdClosureIndex& fds = FdIndexFor(pred);
     return opts_.use_fd_closure ? fds.Minimal(arity, k) : fds.Declared(k);
   }

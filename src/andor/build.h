@@ -1,13 +1,9 @@
 #ifndef HORNSAFE_ANDOR_BUILD_H_
 #define HORNSAFE_ANDOR_BUILD_H_
 
-#include <memory>
-#include <unordered_map>
-
 #include "andor/adorn.h"
 #include "andor/segment.h"
 #include "andor/system.h"
-#include "fd/fd.h"
 #include "lang/program.h"
 #include "util/status.h"
 
@@ -22,25 +18,16 @@ struct BuildOptions {
   /// detected, at exponential-in-arity cost per occurrence.
   bool use_fd_closure = false;
 
-  /// Pre-closed dependency indexes by predicate id (frozen — see
-  /// FdClosureCache). Occurrences of predicates present in the map read
-  /// determinants from the shared index instead of deriving them;
-  /// absent predicates fall back to a build-local lazy index. May be
-  /// null.
-  using FdIndexMap =
-      std::unordered_map<PredicateId, std::shared_ptr<const FdClosureIndex>>;
-  const FdIndexMap* fd_indexes = nullptr;
-
-  /// Per-component segment plan (andor/segment.h). When set the builder
-  /// works component by component — grafting cached segments wholesale,
+  /// Per-component segment plan (andor/segment.h). The builder works
+  /// component by component — grafting each planned segment wholesale,
   /// building the rest normally — and records a SegmentSpan per
-  /// component in the resulting system. Null disables the segment path
-  /// entirely (the system then carries no spans). Precondition: the
-  /// plan's components tile the canonical rules [0, num_rules) in order,
-  /// as those of a contiguous ComponentPartition of the same program do.
+  /// component in the resulting system. Null builds every component of
+  /// ComputeComponentPartition fresh. Precondition: the plan's
+  /// components tile the canonical rules [0, num_rules) in order, as
+  /// those of ComputeComponentPartition of the same program do.
   const SegmentPlan* segments = nullptr;
 
-  /// Graft/reject/sharing tallies of a segment-planned build.
+  /// Graft/reject/sharing tallies of the build. May be null.
   SegmentBuildStats* segment_stats = nullptr;
 };
 

@@ -1,30 +1,11 @@
 #include "andor/segment.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "fd/fd.h"
 #include "lang/struct_hash.h"
 
 namespace hornsafe {
-
-namespace {
-
-uint32_t Find(std::vector<uint32_t>& parent, uint32_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];
-    x = parent[x];
-  }
-  return x;
-}
-
-void Unite(std::vector<uint32_t>& parent, uint32_t a, uint32_t b) {
-  a = Find(parent, a);
-  b = Find(parent, b);
-  if (a != b) parent[b] = a;
-}
-
-}  // namespace
 
 size_t NodeTableSegment::MemoryBytes() const {
   size_t bytes = sizeof(NodeTableSegment);
@@ -41,42 +22,33 @@ size_t NodeTableSegment::MemoryBytes() const {
 }
 
 ComponentPartition ComputeComponentPartition(const Program& canonical) {
-  const size_t num_preds = canonical.num_predicates();
-  std::vector<uint32_t> parent(num_preds);
-  std::iota(parent.begin(), parent.end(), 0);
-  for (const Rule& r : canonical.rules()) {
-    for (const Literal& b : r.body) {
-      Unite(parent, r.head.pred, b.pred);
-    }
-  }
-
+  const std::vector<Rule>& rules = canonical.rules();
+  const std::vector<uint32_t> comp =
+      RuleComponents(rules, canonical.num_predicates());
+  // Components are numbered in first-rule order, so a run ends at rule
+  // ri once no component seen so far has rules beyond ri.
+  std::vector<uint32_t> last(rules.size(), 0);
+  for (uint32_t ri = 0; ri < rules.size(); ++ri) last[comp[ri]] = ri;
   ComponentPartition out;
-  struct Acc {
-    uint32_t first;
-    uint32_t last;
-    uint32_t count;
-  };
-  std::vector<int32_t> comp_of_root(num_preds, -1);
-  std::vector<Acc> accs;
-  const auto& rules = canonical.rules();
+  uint32_t begin = 0;
+  uint32_t end = 0;
   for (uint32_t ri = 0; ri < rules.size(); ++ri) {
-    uint32_t root = Find(parent, rules[ri].head.pred);
-    if (comp_of_root[root] < 0) {
-      comp_of_root[root] = static_cast<int32_t>(accs.size());
-      accs.push_back({ri, ri, 1});
-    } else {
-      Acc& a = accs[static_cast<size_t>(comp_of_root[root])];
-      a.last = ri;
-      ++a.count;
+    end = std::max(end, last[comp[ri]]);
+    if (ri == end) {
+      out.components.push_back({begin, ri + 1 - begin});
+      begin = ri + 1;
     }
-  }
-  // Components are discovered in first-rule order, so when every
-  // component is one contiguous run the runs tile [0, num_rules).
-  for (const Acc& a : accs) {
-    out.components.push_back({a.first, a.count});
-    if (a.last - a.first + 1 != a.count) out.contiguous = false;
   }
   return out;
+}
+
+SegmentPlan FreshPlan(const ComponentPartition& partition) {
+  SegmentPlan plan;
+  plan.components.reserve(partition.components.size());
+  for (const PredicateComponent& comp : partition.components) {
+    plan.components.push_back({comp.first_rule, comp.num_rules, nullptr, {}});
+  }
+  return plan;
 }
 
 std::vector<PredicateId> ComponentPredSlots(const Program& canonical,
@@ -96,8 +68,7 @@ std::vector<PredicateId> ComponentPredSlots(const Program& canonical,
   return slots;
 }
 
-uint64_t ComputeRuleGuard(const Program& canonical, uint32_t rule_index,
-                          bool use_fd_closure) {
+uint64_t ComputeRuleGuard(const Program& canonical, uint32_t rule_index) {
   const Rule& rule = canonical.rules()[rule_index];
   uint64_t h = MixHash(0x66726167677264ULL);
   h = CombineHash(h, StructuralRuleHash(canonical, rule));
@@ -109,7 +80,7 @@ uint64_t ComputeRuleGuard(const Program& canonical, uint32_t rule_index,
       h = CombineHash(h, info.arity);
     }
   }
-  return CombineHash(h, use_fd_closure ? 1 : 0);
+  return h;
 }
 
 std::shared_ptr<const NodeTableSegment> EncodeSegment(

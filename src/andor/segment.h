@@ -111,17 +111,16 @@ struct PredicateComponent {
 
 /// The component partition of a canonical program's rule list.
 struct ComponentPartition {
-  /// Components in first-rule order.
+  /// Components in rule order; their runs tile [0, num_rules).
   std::vector<PredicateComponent> components;
-  /// True iff every component's rules form one contiguous run — the
-  /// precondition for segment spans (canonicalization keeps a module's
-  /// rules together, so this is the common case). When false the
-  /// segment path is skipped entirely and the build behaves as before.
-  bool contiguous = true;
 };
 
-/// Partitions the rules by weak connectivity of their predicates (a
-/// rule joins its head predicate with every body predicate).
+/// Partitions the rules by weak connectivity of their predicates
+/// (RuleComponents). Canonicalize emits rules component-major, so each
+/// run is exactly one component. On a program built by hand whose
+/// components interleave, components with overlapping rule ranges
+/// share one run: a run is always a union of whole components, so it
+/// stays closed under rule membership and the runs still tile.
 ComponentPartition ComputeComponentPartition(const Program& canonical);
 
 /// One component's planned treatment for the builder: graft `segment`
@@ -142,7 +141,11 @@ struct SegmentPlan {
   std::vector<SegmentGraft> components;
 };
 
-/// Tallies of one segment-planned build.
+/// The plan that builds every component of `partition` fresh (no
+/// segments, no predicate slots).
+SegmentPlan FreshPlan(const ComponentPartition& partition);
+
+/// Tallies of one build's component plan.
 struct SegmentBuildStats {
   uint64_t segments_total = 0;
   uint64_t segments_grafted = 0;
@@ -167,13 +170,11 @@ std::vector<PredicateId> ComponentPredSlots(const Program& canonical,
 ///  * each body occurrence's predicate kind, which selects step 2
 ///    grounding and the step 3 / step 4 dispatch;
 ///  * each infinite-base callee's dependency set and arity, which fix
-///    the step 4 determinants;
-///  * the use_fd_closure flag, which selects declared vs minimal
-///    determinants.
+///    the step 4 determinants (declared ones: segments are built with
+///    BuildOptions::use_fd_closure off).
 /// Everything else the builder reads (predicate ids, occurrence ids,
 /// adorned-rule indices, term ids) is a relocation field of the segment.
-uint64_t ComputeRuleGuard(const Program& canonical, uint32_t rule_index,
-                          bool use_fd_closure);
+uint64_t ComputeRuleGuard(const Program& canonical, uint32_t rule_index);
 
 /// Encodes one built-and-pruned span as a relocatable segment. Returns
 /// null if the span does not relocate cleanly (a node or rule indexes

@@ -376,8 +376,8 @@ class AndOrSystem {
   /// Every rule added through AddRule, keyed by (head, body) content,
   /// for deduplication. Grafted rules are not entered.
   RuleIdTable rule_index_;
-  /// Component spans in node order (empty unless the builder ran with a
-  /// segment plan).
+  /// Component spans in node order, one per planned component (empty
+  /// for systems assembled by hand, outside BuildAndOrSystem).
   std::vector<SegmentSpan> spans_;
   NodeId zero_;
   NodeId one_;

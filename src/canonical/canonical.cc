@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <numeric>
 
 #include "util/strings.h"
 
@@ -69,12 +70,26 @@ class Canonicalizer {
       HORNSAFE_RETURN_IF_ERROR(p.AddFact(std::move(f)));
     }
 
-    for (Rule& r : rules) {
-      HORNSAFE_RETURN_IF_ERROR(p.AddRule(TransformRule(std::move(r))));
-    }
+    for (Rule& r : rules) out_rules_.push_back(TransformRule(std::move(r)));
 
     for (Literal& q : queries) {
       HORNSAFE_RETURN_IF_ERROR(TransformQuery(std::move(q)));
+    }
+
+    // Component-major order: a stable sort by each weakly connected
+    // predicate component's first rule. Compound-fact rules and query
+    // wrappers arrive last and join their component's run; a program
+    // whose components are already contiguous keeps its exact order.
+    // The And-Or build then splits into one closed span per component
+    // (andor/segment.h).
+    std::vector<uint32_t> comp =
+        RuleComponents(out_rules_, p.num_predicates());
+    std::vector<uint32_t> order(out_rules_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) { return comp[a] < comp[b]; });
+    for (uint32_t i : order) {
+      HORNSAFE_RETURN_IF_ERROR(p.AddRule(std::move(out_rules_[i])));
     }
 
     HORNSAFE_RETURN_IF_ERROR(p.Validate());
@@ -210,13 +225,15 @@ class Canonicalizer {
     PredicateId qpred =
         p().InternPredicate(qname, static_cast<uint32_t>(vars.size()));
     Literal qhead{qpred, vars};
-    HORNSAFE_RETURN_IF_ERROR(
-        p().AddRule(TransformRule(Rule{qhead, {std::move(query)}})));
+    out_rules_.push_back(TransformRule(Rule{qhead, {std::move(query)}}));
     return p().AddQuery(std::move(qhead));
   }
 
   CanonicalizeOptions opts_;
   CanonicalizationResult result_;
+  /// Transformed rules, added to the program in component-major order
+  /// once every rule and query wrapper is in.
+  std::vector<Rule> out_rules_;
   std::unordered_map<TermId, PredicateId> constant_index_;
 
   struct PairHash {

@@ -58,6 +58,10 @@ struct CanonicalizationResult {
 ///   facts remain EDB data.
 /// * A query whose arguments are not distinct variables is wrapped in a
 ///   fresh derived predicate over its distinct variables (Example 6).
+/// * Rules come out component-major: stably sorted by the first rule of
+///   their weakly connected predicate component (RuleComponents), so
+///   every component's rules form one contiguous run. Programs whose
+///   components are already contiguous keep their rule order.
 ///
 /// By Theorem 2, safety of the result implies safety of `input`; the
 /// converse fails in general (Example 8).

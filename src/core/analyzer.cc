@@ -91,36 +91,12 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   s.stats.build.stage_canonicalize_ns = timer.LapNs();
 
   const Program& cp = s.canon->program;
-  const size_t num_preds = cp.num_predicates();
 
-  // Per-predicate cone fingerprints key the verdict tier. With a cache,
-  // the per-predicate hash memo skips structural hashing of textually
-  // unchanged predicates.
-  s.fps = ComputeFingerprints(
-      cp, cache != nullptr ? &cache->pred_hashes() : nullptr);
+  // Per-predicate cone fingerprints key the verdict tier.
+  s.fps = ComputeFingerprints(cp);
   s.stats.build.stage_fingerprint_ns = timer.LapNs();
 
   HORNSAFE_RETURN_IF_ERROR(options.exec.Check("analyzer build"));
-
-  BuildOptions bopts;
-  bopts.use_fd_closure = options.use_fd_closure;
-
-  // Pre-close the dependency index of every infinite-base predicate
-  // through the shared FdClosureCache: predicates whose dependency set
-  // is unchanged get the previous build's frozen index back in one
-  // hash lookup instead of re-running the closure fixpoints.
-  BuildOptions::FdIndexMap fd_indexes;
-  if (cache != nullptr) {
-    for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
-      const PredicateInfo& info = cp.predicate(p);
-      if (info.kind != PredicateKind::kInfiniteBase) continue;
-      fd_indexes.emplace(p, cache->fd_closures().For(cp.FdsFor(p),
-                                                     info.arity,
-                                                     options.use_fd_closure));
-    }
-    bopts.fd_indexes = &fd_indexes;
-  }
-  s.stats.build.stage_fd_ns = timer.LapNs();
 
   // Algorithm 3 LFP bits, hoisted ahead of the build: the segment keys
   // below fold the emptiness bits of each component's predicates, so
@@ -130,59 +106,45 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   if (options.apply_emptiness) empty = EmptyPredicates(cp);
   s.stats.build.stage_prune_ns = timer.LapNs();
 
-  HORNSAFE_ASSIGN_OR_RETURN(
-      s.adorned,
-      BuildAdornedProgram(cp,
-                          cache != nullptr ? &cache->adornments() : nullptr));
+  HORNSAFE_ASSIGN_OR_RETURN(s.adorned, BuildAdornedProgram(cp));
   s.stats.build.stage_adorn_ns = timer.LapNs();
 
-  // Segment planning (DESIGN.md, D15): partition the canonical rules
-  // into weakly connected predicate components and look each one up in
-  // the segment tier. The key folds the component's ordered rule-guard
-  // sequence, the emptiness bits of its predicates and the prune-mode
-  // flags — everything the build + prune + condensation of that span
-  // read — so a hit replays the post-prune span bit-identically and
-  // only the edited component re-interns. Non-contiguous partitions
-  // (clause interleaving across components) skip the path entirely.
-  SegmentPlan seg_plan;
+  // Segment planning (DESIGN.md, D15): Canonicalize emits rules
+  // component-major, so the weakly connected predicate components tile
+  // the rule list and the build runs one closed span per component.
+  // With a cache, each component is looked up in the segment tier. The
+  // key folds the component's ordered rule-guard sequence, the
+  // emptiness bits of its predicates and the prune-mode flags —
+  // everything the build + prune + condensation of that span read — so
+  // a hit replays the post-prune span bit-identically and only the
+  // edited component re-interns.
+  SegmentPlan seg_plan = FreshPlan(ComputeComponentPartition(cp));
   SegmentBuildStats seg_stats;
-  std::vector<uint64_t> comp_hashes;
-  const uint32_t seg_mode_bits = (options.use_fd_closure ? 1u : 0u) |
-                                 (options.apply_emptiness ? 2u : 0u) |
+  std::vector<CacheKey> seg_keys;
+  const uint32_t seg_mode_bits = (options.apply_emptiness ? 2u : 0u) |
                                  (options.apply_reduction ? 4u : 0u);
-  bool segments_active = false;
   if (cache != nullptr) {
-    ComponentPartition partition = ComputeComponentPartition(cp);
-    if (partition.contiguous && !partition.components.empty()) {
-      segments_active = true;
-      seg_plan.components.reserve(partition.components.size());
-      comp_hashes.reserve(partition.components.size());
-      for (const PredicateComponent& comp : partition.components) {
-        uint64_t h = MixHash(0x7365676d656e7430ULL);
-        for (uint32_t ri = comp.first_rule;
-             ri < comp.first_rule + comp.num_rules; ++ri) {
-          h = CombineHash(h, ComputeRuleGuard(cp, ri, options.use_fd_closure));
-        }
-        SegmentGraft g;
-        g.first_rule = comp.first_rule;
-        g.num_rules = comp.num_rules;
-        g.pred_of_slot = ComponentPredSlots(cp, comp);
-        for (PredicateId p : g.pred_of_slot) {
-          bool is_empty =
-              empty && p < static_cast<PredicateId>(empty->size()) &&
-              (*empty)[p];
-          h = CombineHash(h, is_empty ? 1u : 0u);
-        }
-        h = CombineHash(h, comp.num_rules);
-        comp_hashes.push_back(h);
-        g.segment =
-            cache->LookupSegment(PipelineCache::SegmentKey(h, seg_mode_bits));
-        seg_plan.components.push_back(std::move(g));
+    seg_keys.reserve(seg_plan.components.size());
+    for (SegmentGraft& g : seg_plan.components) {
+      uint64_t h = MixHash(0x7365676d656e7430ULL);
+      for (uint32_t ri = g.first_rule; ri < g.first_rule + g.num_rules;
+           ++ri) {
+        h = CombineHash(h, ComputeRuleGuard(cp, ri));
       }
-      bopts.segments = &seg_plan;
-      bopts.segment_stats = &seg_stats;
+      g.pred_of_slot =
+          ComponentPredSlots(cp, {g.first_rule, g.num_rules});
+      for (PredicateId p : g.pred_of_slot) {
+        bool is_empty = empty && (*empty)[p];
+        h = CombineHash(h, is_empty ? 1u : 0u);
+      }
+      h = CombineHash(h, g.num_rules);
+      seg_keys.push_back(PipelineCache::SegmentKey(h, seg_mode_bits));
+      g.segment = cache->LookupSegment(seg_keys.back());
     }
   }
+  BuildOptions bopts;
+  bopts.segments = &seg_plan;
+  bopts.segment_stats = &seg_stats;
 
   HORNSAFE_ASSIGN_OR_RETURN(s.system,
                             BuildAndOrSystem(cp, s.adorned, bopts));
@@ -196,48 +158,33 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   // Prune scope: grafted spans were encoded post-prune (their deleted
   // bits replayed at graft time), so Algorithms 3 and 4 only visit the
   // freshly built spans; the grafted spans' tallies are stitched from
-  // the segments. Without the segment path both run globally, exactly
-  // as before. Prune is component-local (rules only reference nodes of
-  // their own component, plus the shared terminals), so the scoped runs
-  // produce the same deleted set as the global ones.
+  // the segments. Prune is component-local (rules only reference nodes
+  // of their own component, plus the shared terminals), so the scoped
+  // runs produce the same deleted set as global ones.
   const std::vector<SegmentSpan>& spans = s.system.spans();
-  const bool span_path = segments_active && !spans.empty();
-  if (options.apply_emptiness) {
-    size_t pruned = 0;
-    if (span_path) {
-      std::vector<std::pair<uint32_t, uint32_t>> fresh_rules;
-      for (const SegmentSpan& sp : spans) {
-        if (sp.grafted) {
-          pruned += sp.segment->pruned_emptiness;
-        } else {
-          fresh_rules.emplace_back(sp.rule_begin, sp.rule_end);
-        }
-      }
-      pruned += ApplyEmptinessPruningRanges(*empty, &s.system, fresh_rules);
+  std::vector<std::pair<uint32_t, uint32_t>> fresh_rules;
+  std::vector<ReduceRange> fresh_ranges;
+  size_t grafted_emptiness = 0;
+  size_t grafted_reduction = 0;
+  for (const SegmentSpan& sp : spans) {
+    if (sp.grafted) {
+      grafted_emptiness += sp.segment->pruned_emptiness;
+      grafted_reduction += sp.segment->pruned_reduction;
     } else {
-      pruned = ApplyEmptinessPruning(*empty, &s.system);
+      fresh_rules.emplace_back(sp.rule_begin, sp.rule_end);
+      fresh_ranges.push_back(
+          {sp.node_begin, sp.node_end, sp.rule_begin, sp.rule_end});
     }
-    s.stats.rules_pruned_emptiness = pruned;
+  }
+  if (options.apply_emptiness) {
+    s.stats.rules_pruned_emptiness =
+        grafted_emptiness +
+        ApplyEmptinessPruningRanges(*empty, &s.system, fresh_rules);
   }
   if (options.apply_reduction) {
-    size_t pruned = 0;
-    if (span_path) {
-      std::vector<ReduceRange> fresh_ranges;
-      for (const SegmentSpan& sp : spans) {
-        if (sp.grafted) {
-          pruned += sp.segment->pruned_reduction;
-        } else {
-          fresh_ranges.push_back({sp.node_begin, sp.node_end,
-                                  sp.rule_begin, sp.rule_end});
-        }
-      }
-      if (!fresh_ranges.empty()) {
-        pruned += ReduceSystemInRanges(&s.system, fresh_ranges).rules_deleted;
-      }
-    } else {
-      pruned = ReduceSystem(&s.system).rules_deleted;
-    }
-    s.stats.rules_pruned_reduction = pruned;
+    s.stats.rules_pruned_reduction =
+        grafted_reduction +
+        ReduceSystemInRanges(&s.system, fresh_ranges).rules_deleted;
   }
   s.stats.rules_live = s.system.NumLiveRules();
   s.stats.build.stage_prune_ns += timer.LapNs();
@@ -248,13 +195,14 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   }
   // The condensation depends on the live rule set, so it is computed
   // after pruning and then shared (read-only) by every subset search,
-  // including ones running concurrently on pool threads. On the span
-  // path it is stitched from per-span slices — grafted spans replay
-  // the slice stored with their segment, fresh spans compute theirs —
-  // which is bit-identical to the global computation (scc.h). Any
-  // slice or stitch failure falls back to the global pass.
+  // including ones running concurrently on pool threads. With a cache
+  // it is stitched from per-span slices — grafted spans replay the
+  // slice stored with their segment, fresh spans compute theirs, to be
+  // sealed below — which is bit-identical to the global computation
+  // (scc.h). Without a cache nothing is grafted or sealed, so one
+  // global pass does; so does any slice or stitch failure.
   std::vector<std::optional<SccSlice>> fresh_slices;
-  if (span_path) {
+  if (cache != nullptr) {
     fresh_slices.resize(spans.size());
     bool sliced = true;
     std::vector<const SccSlice*> pieces;
@@ -288,10 +236,9 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   // bits) into the segment tier, and attach the resident segment to the
   // snapshot so pinned readers keep it alive across cache eviction.
   // Spans that do not relocate cleanly are simply not cached.
-  if (span_path && cache != nullptr) {
+  if (cache != nullptr) {
     const std::vector<bool> no_empty;
-    for (size_t i = 0;
-         i < spans.size() && i < seg_plan.components.size(); ++i) {
+    for (size_t i = 0; i < spans.size(); ++i) {
       const SegmentSpan& sp = spans[i];
       if (sp.grafted || !fresh_slices[i]) continue;
       std::shared_ptr<const NodeTableSegment> seg = EncodeSegment(
@@ -300,9 +247,8 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
           sp.rule_begin, sp.rule_end, sp.ar_begin, sp.ar_end, sp.occ_base,
           sp.occ_count, std::move(*fresh_slices[i]));
       if (seg == nullptr) continue;
-      std::shared_ptr<const NodeTableSegment> resident = cache->StoreSegment(
-          PipelineCache::SegmentKey(comp_hashes[i], seg_mode_bits),
-          std::move(seg));
+      std::shared_ptr<const NodeTableSegment> resident =
+          cache->StoreSegment(seg_keys[i], std::move(seg));
       if (resident != nullptr) {
         s.system.AttachSegment(i, std::move(resident));
         ++s.stats.build.segments_encoded;
@@ -330,10 +276,11 @@ Result<std::shared_ptr<const AnalysisSnapshot>> SafetyAnalyzer::BuildSnapshot(
   // program-wide), and whether the condensation materialised its reach
   // bitsets (it degrades the frontier memo when too wide).
   uint64_t ctx = MixHash(0x686f726e63747834ULL);
+  // Bit 3 is retired (a dependency-closure flag that was never set);
+  // it stays 0 so verdict keys, on disk too, keep their values.
   uint64_t bits = (options.apply_emptiness ? 1u : 0u) |
                   (options.apply_reduction ? 2u : 0u) |
                   (options.use_monotonicity ? 4u : 0u) |
-                  (options.use_fd_closure ? 8u : 0u) |
                   (CanonicalizeOptionBits(options.canonicalize) << 4);
   ctx = CombineHash(ctx, bits);
   ctx = CombineHash(ctx, options.subset_budget);

@@ -38,9 +38,6 @@ struct AnalyzerOptions {
   /// Theorem 5: use monotonicity constraints to discharge candidate
   /// counterexample graphs whose cycles are finitely traversable.
   bool use_monotonicity = true;
-  /// Algorithm 2, step 4: derive determinants from the Armstrong closure
-  /// of the declared FDs instead of the declared FDs only.
-  bool use_fd_closure = false;
   /// Canonicalization options (Algorithm 1).
   CanonicalizeOptions canonicalize;
   /// DFS budget for the subset-condition search, applied *per argument
@@ -68,11 +65,10 @@ struct AnalyzerOptions {
   /// analyzers and be shared between them — including between worker
   /// threads analyzing concurrently; every tier is thread-safe). When
   /// set, per-position subset verdicts are served by cone fingerprint,
-  /// and the fingerprint / FD / adornment / build stages reuse cached
-  /// per-predicate and per-component pieces. Results are bit-identical
-  /// with and without a
-  /// cache for entries produced by structurally identical cones
-  /// (DESIGN.md, D12).
+  /// and the build grafts the node-table segment of every predicate
+  /// component it has seen before. Results are bit-identical with and
+  /// without a cache for entries produced by structurally identical
+  /// cones (DESIGN.md, D12).
   PipelineCache* cache = nullptr;
 };
 
@@ -99,10 +95,12 @@ struct AnalyzerCounters {
   /// Snapshots published by Update (0 for a never-updated analyzer).
   uint64_t snapshot_swaps = 0;
   /// Per-stage wall time (ns) across every build: Algorithm 1,
-  /// fingerprinting, FD index preparation, adornment, the Algorithm 2
-  /// build (including segment planning), Algorithm 3 + 4 pruning, and
-  /// condensation (+ monotonicity) — in pipeline order — plus the
-  /// subset-search stage across every analysis.
+  /// fingerprinting, adornment, the Algorithm 2 build (including
+  /// segment planning and dependency closure), Algorithm 3 + 4 pruning,
+  /// and condensation (+ monotonicity) — in pipeline order — plus the
+  /// subset-search stage across every analysis. `stage_fd_ns` is always
+  /// 0: no FD work runs outside the build any more; the field stays
+  /// only because perfbench/workloads.cc reads it.
   uint64_t stage_canonicalize_ns = 0;
   uint64_t stage_fingerprint_ns = 0;
   uint64_t stage_fd_ns = 0;
@@ -253,9 +251,9 @@ struct AnalysisSnapshot {
     uint64_t segments_live = 0;
     /// This build's contribution to the analyzer's cumulative counters:
     /// its stage wall times (`stage_search_ns` stays 0), its segment
-    /// tallies (all 0 without a cache, or when the component partition
-    /// is not contiguous), and its node-table size and resident segment
-    /// bytes as `node_table_peak_*`.
+    /// tallies (nothing is grafted or encoded without a cache), and its
+    /// node-table size and resident segment bytes as
+    /// `node_table_peak_*`.
     AnalyzerCounters build;
   };
   Stats stats;
@@ -406,9 +404,8 @@ class SafetyAnalyzer {
     Counters counters;
   };
 
-  /// Runs the full (polynomial) pipeline for `program`, probing the
-  /// cache's FD-index, structural-hash, adornment and segment tiers
-  /// when configured.
+  /// Runs the full (polynomial) pipeline for `program`, grafting and
+  /// sealing segments through the cache's segment tier when configured.
   static Result<std::shared_ptr<const AnalysisSnapshot>> BuildSnapshot(
       const Program& program, const AnalyzerOptions& options);
 

@@ -790,16 +790,6 @@ PipelineCacheStats PipelineCache::stats() const {
     std::lock_guard<std::mutex> lock(segment_mu_);
     MergeStats(segment_stats_, &out);
   }
-  {
-    FdClosureCache::Stats fd = fd_closures_.stats();
-    out.fd_index_hits = fd.hits;
-    out.fd_index_misses = fd.misses;
-  }
-  {
-    PredicateHashMemo::Stats ph = pred_hashes_.stats();
-    out.pred_hash_hits = ph.hits;
-    out.pred_hash_misses = ph.misses;
-  }
   // Per-shard tallies are exact (every bump happens under the shard
   // lock); the sum is a consistent-enough snapshot — a concurrent
   // lookup may land before or after it, same as with one global lock.

@@ -11,11 +11,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "andor/adorn.h"
 #include "andor/segment.h"
 #include "andor/subset.h"
-#include "fd/fd.h"
-#include "lang/fingerprint.h"
 #include "lang/program.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -106,12 +103,6 @@ struct PipelineCacheStats {
   uint64_t segment_misses = 0;
   uint64_t segment_insertions = 0;
   uint64_t segment_evictions = 0;
-  /// Shared frozen FD closure indexes (FdClosureCache).
-  uint64_t fd_index_hits = 0;
-  uint64_t fd_index_misses = 0;
-  /// Per-predicate structural-hash memo (PredicateHashMemo).
-  uint64_t pred_hash_hits = 0;
-  uint64_t pred_hash_misses = 0;
 
   /// The schema: every field above but `canon_*`, in rendering order.
   static std::span<const StatField<PipelineCacheStats>> Fields();
@@ -143,10 +134,6 @@ PipelineCacheStats::Fields() {
       HORNSAFE_STAT(S, segment_misses),
       HORNSAFE_STAT(S, segment_insertions),
       HORNSAFE_STAT(S, segment_evictions),
-      HORNSAFE_STAT(S, fd_index_hits),
-      HORNSAFE_STAT(S, fd_index_misses),
-      HORNSAFE_STAT(S, pred_hash_hits),
-      HORNSAFE_STAT(S, pred_hash_misses),
   };
   return kFields;
 }
@@ -154,7 +141,7 @@ PipelineCacheStats::Fields() {
 /// Cross-query cache for the safety pipeline, shared by any number of
 /// `SafetyAnalyzer` builds (and across processes through the disk tier).
 ///
-/// Tiers, from hottest to coldest:
+/// Two tiers:
 ///
 ///   * *verdict tier* — (cone fingerprint, analysis context, adornment,
 ///     position) -> CachedVerdict. In-memory LRU backed by an optional
@@ -165,9 +152,11 @@ PipelineCacheStats::Fields() {
 ///     cones never contend on one mutex; hit/miss/insert/evict counters
 ///     are kept per shard and summed by `stats()`, so they stay exact
 ///     under any number of concurrent readers.
-///   * *adornment sets* — the pattern-keyed AdornmentCache, shared
-///     across rebuilds (its keys are program-independent grouping
-///     patterns, so reuse across arbitrary programs is sound).
+///   * *segment tier* — (component hash, prune mode) -> the post-prune
+///     node-table segment of one predicate component (andor/segment.h),
+///     in memory only. It is the one reuse of the build across
+///     analyzer builds: a hit grafts the component's nodes, rules,
+///     prune verdicts and SCC slice wholesale (DESIGN.md, D15).
 ///
 /// Every tier is thread-safe: one PipelineCache serves any number of
 /// concurrent analyzer builds and subset searches (serve workers share
@@ -277,24 +266,11 @@ class PipelineCache {
   /// a disk tier.
   void Flush();
 
-  // --- Per-stage memos (thread-safe) -----------------------------------
-
-  /// Shared adornment-set memo (grouping-pattern keyed, never evicted).
-  AdornmentCache& adornments() { return adornments_; }
-
-  /// Shared frozen FD closure indexes, keyed by (FdSetHash, arity,
-  /// closure mode) — see fd/fd.h.
-  FdClosureCache& fd_closures() { return fd_closures_; }
-
-  /// Per-predicate structural-hash memo for ComputeFingerprints — see
-  /// lang/fingerprint.h.
-  PredicateHashMemo& pred_hashes() { return pred_hashes_; }
-
   // --- Segment tier (thread-safe) ---------------------------------------
 
   /// The cache key of one predicate component's node-table segment:
   /// `component_hash` folds the component's ordered rule-guard sequence
-  /// and predicate emptiness bits, `mode_bits` the prune/closure flags
+  /// and predicate emptiness bits, `mode_bits` the prune flags
   /// (everything the build + prune + condensation of the span read).
   static CacheKey SegmentKey(uint64_t component_hash, uint32_t mode_bits);
 
@@ -430,10 +406,6 @@ class PipelineCache {
   /// Only the disk, compaction and invalidation fields are used;
   /// `stats()` merges in the other tiers' tallies.
   PipelineCacheStats misc_stats_;
-
-  AdornmentCache adornments_;
-  FdClosureCache fd_closures_;
-  PredicateHashMemo pred_hashes_;
 
   /// Segment tier: per-component node-table spans behind their own
   /// lock (probed once per component per build). LRU, one entry per

@@ -111,7 +111,8 @@ std::string GenerateReport(SafetyAnalyzer& analyzer,
       if (options.include_section5) {
         IntermediateFinitenessResult fin = CheckFiniteIntermediateResults(
             p, analyzer.adorned(), analyzer.system(), q);
-        TerminationResult term = CheckTermination(analyzer, q);
+        TerminationResult term =
+            CheckTermination(analyzer, q, analysis.overall, fin);
         out += StrCat("    finite intermediate results: ",
                       fin.exists ? "yes" : "no", "\n");
         out += StrCat("    terminating computation:     ",

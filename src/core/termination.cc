@@ -8,7 +8,6 @@
 #include "andor/lfp.h"
 #include "andor/subset.h"
 #include "constraints/argmap.h"
-#include "core/finiteness.h"
 #include "util/strings.h"
 
 namespace hornsafe {
@@ -29,27 +28,24 @@ struct StateEdge {
 
 class TerminationChecker {
  public:
-  TerminationChecker(SafetyAnalyzer& analyzer, const Literal& query)
-      : analyzer_(analyzer),
-        program_(analyzer.canonical()),
+  TerminationChecker(const SafetyAnalyzer& analyzer, const Literal& query)
+      : program_(analyzer.canonical()),
         adorned_(analyzer.adorned()),
         system_(analyzer.system()),
         query_(query) {}
 
-  TerminationResult Run() {
+  TerminationResult Run(Safety safety,
+                        const IntermediateFinitenessResult& fin) {
     TerminationResult out;
 
     // 1. Termination implies safety.
-    QueryAnalysis safety = analyzer_.AnalyzeQueryLiteral(query_);
-    if (safety.overall != Safety::kSafe) {
+    if (safety != Safety::kSafe) {
       out.reasons.push_back(
-          StrCat("query is ", SafetyName(safety.overall),
+          StrCat("query is ", SafetyName(safety),
                  "; a terminating computation would make it safe"));
       return out;
     }
     // 2. ... and finiteness of intermediate relations.
-    IntermediateFinitenessResult fin = CheckFiniteIntermediateResults(
-        program_, adorned_, system_, query_);
     if (!fin.exists) {
       out.reasons.push_back(
           "no computation has finite intermediate relations");
@@ -259,7 +255,6 @@ class TerminationChecker {
     return bad;
   }
 
-  SafetyAnalyzer& analyzer_;
   const Program& program_;
   const AdornedProgram& adorned_;
   const AndOrSystem& system_;
@@ -270,9 +265,10 @@ class TerminationChecker {
 
 }  // namespace
 
-TerminationResult CheckTermination(SafetyAnalyzer& analyzer,
-                                   const Literal& query) {
-  return TerminationChecker(analyzer, query).Run();
+TerminationResult CheckTermination(const SafetyAnalyzer& analyzer,
+                                   const Literal& query, Safety safety,
+                                   const IntermediateFinitenessResult& fin) {
+  return TerminationChecker(analyzer, query).Run(safety, fin);
 }
 
 }  // namespace hornsafe

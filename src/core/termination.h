@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/analyzer.h"
+#include "core/finiteness.h"
 #include "lang/program.h"
 
 namespace hornsafe {
@@ -24,7 +25,10 @@ struct TerminationResult {
 /// program (implementation notes: DESIGN.md, D10).
 ///
 /// Termination implies safety and finiteness of intermediate relations
-/// (paper, Section 5), so both are prerequisites. On top of them, every
+/// (paper, Section 5), so both are prerequisites: the caller passes the
+/// query's overall verdict (`AnalyzeQueryLiteral`) and its
+/// `CheckFiniteIntermediateResults` outcome, which it has usually
+/// computed for its own report already. On top of them, every
 /// recursion cycle among the reachable (predicate, adornment) states
 /// must be *convergent*:
 ///
@@ -36,8 +40,9 @@ struct TerminationResult {
 ///  * all recursion variables subset-condition safe — the recursion's
 ///    value space is finite, so its fixpoint is reached in finitely
 ///    many steps (Example 4).
-TerminationResult CheckTermination(SafetyAnalyzer& analyzer,
-                                   const Literal& query);
+TerminationResult CheckTermination(const SafetyAnalyzer& analyzer,
+                                   const Literal& query, Safety safety,
+                                   const IntermediateFinitenessResult& fin);
 
 }  // namespace hornsafe
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 
 #include "lang/struct_hash.h"
 
@@ -185,31 +183,6 @@ const std::vector<AttrSet>& FdClosureIndex::Declared(uint32_t attr) {
   return it->second;
 }
 
-namespace {
-
-[[noreturn]] void MissingPrecomputedEntry(uint32_t attr) {
-  std::fprintf(stderr,
-               "FdClosureIndex: const lookup of attribute %u missed the "
-               "frozen memo (index not precomputed for this arity?)\n",
-               attr);
-  std::abort();
-}
-
-}  // namespace
-
-const std::vector<AttrSet>& FdClosureIndex::Minimal(uint32_t arity,
-                                                    uint32_t attr) const {
-  auto it = det_memo_.find(attr | (arity << 8) | (1u << 16));
-  if (it == det_memo_.end()) MissingPrecomputedEntry(attr);
-  return it->second;
-}
-
-const std::vector<AttrSet>& FdClosureIndex::Declared(uint32_t attr) const {
-  auto it = det_memo_.find(attr);
-  if (it == det_memo_.end()) MissingPrecomputedEntry(attr);
-  return it->second;
-}
-
 bool FdClosureIndex::Redundant(size_t index) {
   if (redundant_memo_.size() < fds_.size()) {
     redundant_memo_.resize(fds_.size(), -1);
@@ -217,58 +190,6 @@ bool FdClosureIndex::Redundant(size_t index) {
   int8_t& slot = redundant_memo_[index];
   if (slot < 0) slot = IsRedundant(fds_, index) ? 1 : 0;
   return slot == 1;
-}
-
-bool FdClosureIndex::Redundant(size_t index) const {
-  if (index >= redundant_memo_.size() || redundant_memo_[index] < 0) {
-    MissingPrecomputedEntry(static_cast<uint32_t>(index));
-  }
-  return redundant_memo_[index] == 1;
-}
-
-void FdClosureIndex::Precompute(uint32_t arity, bool include_minimal) {
-  for (uint32_t k = 0; k < arity; ++k) {
-    Declared(k);
-    if (include_minimal) Minimal(arity, k);
-  }
-  for (size_t i = 0; i < fds_.size(); ++i) Redundant(i);
-  frozen_ = true;
-}
-
-std::shared_ptr<const FdClosureIndex> FdClosureCache::For(
-    const std::vector<FiniteDependency>& fds, uint32_t arity,
-    bool include_minimal) {
-  uint64_t key = CombineHash(FdSetHash(fds), arity);
-  key = CombineHash(key, include_minimal ? 1 : 0);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      ++stats_.hits;
-      return it->second;
-    }
-    ++stats_.misses;
-  }
-  // Build (and run the 2^arity enumeration) outside the lock; two
-  // racing builders produce identical frozen indexes and emplace keeps
-  // whichever lands first.
-  auto index = std::make_shared<FdClosureIndex>(fds);
-  index->Precompute(arity, include_minimal);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] =
-      memo_.emplace(key, std::shared_ptr<const FdClosureIndex>(index));
-  (void)inserted;
-  return it->second;
-}
-
-FdClosureCache::Stats FdClosureCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t FdClosureCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return memo_.size();
 }
 
 }  // namespace hornsafe

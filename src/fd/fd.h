@@ -2,8 +2,6 @@
 #define HORNSAFE_FD_FD_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -37,7 +35,7 @@ std::vector<FiniteDependency> MinimalCover(std::vector<FiniteDependency> fds);
 /// `attr ∈ S⁺`, i.e. the minimal ways the other attributes can finitely
 /// determine `attr` under the *closure* of `fds`. Exponential in `arity`
 /// (arity is a predicate arity, so tiny in practice). Used by the
-/// analyzer's `use_fd_closure` option; the paper's Algorithm 2 uses only
+/// builder's `use_fd_closure` option; the paper's Algorithm 2 uses only
 /// the declared dependencies.
 std::vector<AttrSet> MinimalDeterminants(
     const std::vector<FiniteDependency>& fds, uint32_t arity, uint32_t attr);
@@ -51,8 +49,8 @@ std::vector<AttrSet> DeclaredDeterminants(
 /// Order-invariant content hash of a dependency *set*: a sorted fold of
 /// the (lhs, rhs) attribute bitmasks. The predicate id is deliberately
 /// excluded — two predicates declaring structurally identical FDs share
-/// one hash, so closure work keyed by it is shared between them (and
-/// across updates, where predicate ids are not stable anyway).
+/// one hash, so segment guards keyed by it (andor/segment.h) survive
+/// updates, where predicate ids are not stable.
 uint64_t FdSetHash(const std::vector<FiniteDependency>& fds);
 
 /// Memoizing view over one predicate's dependency set. Algorithm 2
@@ -81,30 +79,8 @@ class FdClosureIndex {
   /// Cached DeclaredDeterminants(fds(), attr).
   const std::vector<AttrSet>& Declared(uint32_t attr);
 
-  /// Const lookups for *frozen* indexes (see Precompute): the entry must
-  /// have been precomputed, so no memo mutation happens and any number
-  /// of threads may read concurrently. Aborts on a missing entry — that
-  /// is a programming error, not a recoverable condition.
-  const std::vector<AttrSet>& Minimal(uint32_t arity, uint32_t attr) const;
-  const std::vector<AttrSet>& Declared(uint32_t attr) const;
-
-  /// Memoized IsRedundant(fds(), index). The const overload requires a
-  /// frozen index (Precompute fills the memo for every dependency).
+  /// Memoized IsRedundant(fds(), index).
   bool Redundant(size_t index);
-  bool Redundant(size_t index) const;
-
-  /// Eagerly fills the determinant memo for every attribute of a
-  /// predicate of `arity` (declared always; minimal-under-closure when
-  /// `include_minimal`) plus the per-dependency redundancy verdicts,
-  /// and freezes the index. A frozen index is logically immutable: the
-  /// const accessors above serve every lookup without touching the
-  /// memo, which is what makes one index shareable by concurrent
-  /// pipeline builds (FdClosureCache).
-  void Precompute(uint32_t arity, bool include_minimal);
-
-  bool frozen() const { return frozen_; }
-
-  size_t closure_cache_size() const { return closure_memo_.size(); }
 
  private:
   std::vector<FiniteDependency> fds_;
@@ -114,42 +90,6 @@ class FdClosureIndex {
   std::unordered_map<uint32_t, std::vector<AttrSet>> det_memo_;
   /// -1 unknown, else 0/1: memoized IsRedundant per dependency index.
   std::vector<int8_t> redundant_memo_;
-  bool frozen_ = false;
-};
-
-/// Process-wide (well, cache-wide) sharing of closed FD indexes across
-/// pipeline builds, keyed by (FdSetHash, arity, closure mode). An
-/// Update() used to re-run the attribute-closure fixpoint and the
-/// 2^arity determinant enumeration for every infinite-base predicate of
-/// every rebuild; with this cache, predicates whose dependency set is
-/// unchanged (the overwhelming majority under single-cone edits) get
-/// the previous build's frozen index back in one hash lookup. Returned
-/// indexes are precomputed and frozen, so concurrent builds can read
-/// them without synchronization. Thread-safe; entries are never evicted
-/// (distinct FD structures are few — they are bounded by the source
-/// text, not the workload).
-class FdClosureCache {
- public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-
-  /// The frozen index for `fds` over a predicate of `arity`. Builds and
-  /// precomputes on first use; `include_minimal` selects whether the
-  /// minimal-determinant enumeration (use_fd_closure mode) is
-  /// materialized too.
-  std::shared_ptr<const FdClosureIndex> For(
-      const std::vector<FiniteDependency>& fds, uint32_t arity,
-      bool include_minimal);
-
-  Stats stats() const;
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const FdClosureIndex>> memo_;
-  Stats stats_;
 };
 
 }  // namespace hornsafe

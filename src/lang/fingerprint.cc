@@ -98,50 +98,10 @@ PredicateDepGraph PredicateDepGraph::Build(const Program& program) {
   return g;
 }
 
-bool PredicateHashMemo::Lookup(uint64_t strict_key, uint64_t* own) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = memo_.find(strict_key);
-  if (it == memo_.end()) {
-    ++stats_.misses;
-    return false;
-  }
-  ++stats_.hits;
-  *own = it->second;
-  return true;
-}
-
-void PredicateHashMemo::Store(uint64_t strict_key, uint64_t own) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (memo_.size() >= kMaxEntries) memo_.clear();
-  memo_[strict_key] = own;
-}
-
-PredicateHashMemo::Stats PredicateHashMemo::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t PredicateHashMemo::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return memo_.size();
-}
-
-ProgramFingerprints ComputeFingerprints(const Program& program,
-                                        PredicateHashMemo* memo) {
+ProgramFingerprints ComputeFingerprints(const Program& program) {
   ProgramFingerprints fps;
   size_t n = program.num_predicates();
-  if (memo == nullptr) {
-    fps.own = StructuralPredicateHashes(program);
-  } else {
-    std::vector<uint64_t> strict = StrictPredicateKeys(program);
-    fps.own.resize(n, 0);
-    for (PredicateId p = 0; p < static_cast<PredicateId>(n); ++p) {
-      if (!memo->Lookup(strict[p], &fps.own[p])) {
-        fps.own[p] = StructuralPredicateHash(program, p);
-        memo->Store(strict[p], fps.own[p]);
-      }
-    }
-  }
+  fps.own = StructuralPredicateHashes(program);
 
   PredicateDepGraph graph = PredicateDepGraph::Build(program);
 

@@ -2,8 +2,6 @@
 #define HORNSAFE_LANG_FINGERPRINT_H_
 
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "lang/program.h"
@@ -60,50 +58,12 @@ struct ProgramFingerprints {
   uint64_t program = 0;
 };
 
-/// Memo of per-predicate structural own hashes across successive
-/// programs, keyed by the *strict* predicate key (rendered clause
-/// texts, StrictPredicateKeys). Rendering a clause is cheap; the
-/// alpha-numbering term walk of StructuralPredicateHash is not — so an
-/// Update() only pays structural hashing for predicates whose clauses
-/// actually changed textually. Keying by the strict (name-sensitive)
-/// hash is conservative: an alpha-renamed predicate misses the memo
-/// and is re-hashed, never served a stale value. Thread-safe; bounded
-/// (the map is cleared when it outgrows its cap, a once-in-a-blue-moon
-/// event for real update streams).
-class PredicateHashMemo {
- public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-
-  /// True (and sets *own) iff `strict_key` was stored before.
-  bool Lookup(uint64_t strict_key, uint64_t* own);
-  void Store(uint64_t strict_key, uint64_t own);
-
-  Stats stats() const;
-  size_t size() const;
-
- private:
-  static constexpr size_t kMaxEntries = 65536;
-
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, uint64_t> memo_;
-  Stats stats_;
-};
-
 /// Computes own and cone fingerprints for every predicate of `program`.
 /// Cost: one Tarjan pass plus one structural-hash pass, linear in the
 /// program (no search). An edit to predicate `q` changes cone[p] for
 /// exactly the predicates `p` that can reach `q` — the "invalidation
 /// cone" of the edit.
-///
-/// With a non-null `memo`, the structural-hash pass consults it keyed
-/// by strict predicate keys and only re-hashes predicates whose
-/// rendered clauses changed since the memo last saw them. Results are
-/// bit-identical with and without a memo; pinned by tests.
-ProgramFingerprints ComputeFingerprints(const Program& program,
-                                        PredicateHashMemo* memo = nullptr);
+ProgramFingerprints ComputeFingerprints(const Program& program);
 
 }  // namespace hornsafe
 

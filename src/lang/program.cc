@@ -1,6 +1,8 @@
 #include "lang/program.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 
 #include "lang/attr_set.h"
 #include "util/strings.h"
@@ -350,6 +352,36 @@ std::vector<TermId> LiteralVariables(const TermPool& pool,
   std::vector<TermId> out;
   for (TermId v : all) {
     if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<uint32_t> RuleComponents(const std::vector<Rule>& rules,
+                                     size_t num_predicates) {
+  std::vector<uint32_t> parent(num_predicates);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (const Rule& r : rules) {
+    for (const Literal& b : r.body) {
+      uint32_t a = find(r.head.pred);
+      uint32_t c = find(b.pred);
+      if (a != c) parent[c] = a;
+    }
+  }
+  std::vector<uint32_t> id_of_root(num_predicates, UINT32_MAX);
+  std::vector<uint32_t> out;
+  out.reserve(rules.size());
+  uint32_t next = 0;
+  for (const Rule& r : rules) {
+    uint32_t& id = id_of_root[find(r.head.pred)];
+    if (id == UINT32_MAX) id = next++;
+    out.push_back(id);
   }
   return out;
 }

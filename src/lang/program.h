@@ -219,6 +219,13 @@ std::vector<TermId> RuleVariables(const TermPool& pool, const Rule& rule);
 /// The distinct variables of `lit` in first-occurrence order.
 std::vector<TermId> LiteralVariables(const TermPool& pool, const Literal& lit);
 
+/// The weakly connected predicate component of every rule (a rule joins
+/// its head predicate with each of its body predicates), numbered in
+/// order of each component's first rule. `num_predicates` bounds every
+/// predicate id the rules mention.
+std::vector<uint32_t> RuleComponents(const std::vector<Rule>& rules,
+                                     size_t num_predicates);
+
 }  // namespace hornsafe
 
 #endif  // HORNSAFE_LANG_PROGRAM_H_

@@ -220,90 +220,6 @@ uint64_t StructuralProgramHashFrom(const Program& program,
   return FoldSorted(kSeedProgram, std::move(parts));
 }
 
-std::vector<uint64_t> StrictPredicateKeys(const Program& program) {
-  const size_t n = program.num_predicates();
-  // Content hash of every term in the pool, one forward sweep: the pool
-  // is hash-consed so sub-terms always precede the terms using them and
-  // each distinct term is hashed exactly once. Variables hash by NAME
-  // (not pool id), which makes the key strict — textually identical
-  // clauses in two different programs get equal keys, any textual
-  // change breaks equality — without the cost of rendering clauses.
-  const TermPool& pool = program.terms();
-  std::vector<uint64_t> term_hash(pool.size());
-  for (TermId id = 0; id < static_cast<TermId>(pool.size()); ++id) {
-    const TermData& t = pool.Get(id);
-    switch (t.kind) {
-      case TermKind::kVariable:
-        term_hash[id] = CombineHash(
-            kSeedVariable, HashBytes(program.symbols().Name(t.symbol)));
-        break;
-      case TermKind::kAtom:
-        term_hash[id] = CombineHash(
-            kSeedAtom, HashBytes(program.symbols().Name(t.symbol)));
-        break;
-      case TermKind::kInt:
-        term_hash[id] =
-            CombineHash(kSeedInt, static_cast<uint64_t>(t.int_value));
-        break;
-      case TermKind::kFunction: {
-        uint64_t h = CombineHash(
-            kSeedFunction, HashBytes(program.symbols().Name(t.symbol)));
-        h = CombineHash(h, t.args.size());
-        for (TermId arg : t.args) h = CombineHash(h, term_hash[arg]);
-        term_hash[id] = h;
-        break;
-      }
-    }
-  }
-  std::vector<uint64_t> pred_name_hash(n);
-  for (PredicateId p = 0; p < static_cast<PredicateId>(n); ++p) {
-    pred_name_hash[p] = HashBytes(
-        program.symbols().Name(program.predicate(p).name));
-  }
-  auto literal_key = [&](const Literal& lit) {
-    uint64_t h = CombineHash(kSeedLiteral, pred_name_hash[lit.pred]);
-    h = CombineHash(h, lit.args.size());
-    for (TermId arg : lit.args) h = CombineHash(h, term_hash[arg]);
-    return h;
-  };
-
-  std::vector<std::vector<uint64_t>> rules(n), facts(n), fds(n), monos(n);
-  for (const Rule& r : program.rules()) {
-    uint64_t h = CombineHash(kSeedRule, literal_key(r.head));
-    h = CombineHash(h, r.body.size());
-    for (const Literal& lit : r.body) h = CombineHash(h, literal_key(lit));
-    rules[r.head.pred].push_back(h);
-  }
-  for (const Literal& f : program.facts()) {
-    facts[f.pred].push_back(CombineHash(kSeedFact, literal_key(f)));
-  }
-  for (const FiniteDependency& fd : program.fds()) {
-    fds[fd.pred].push_back(
-        CombineHash(HashAttrSet(fd.lhs), HashAttrSet(fd.rhs)));
-  }
-  for (const MonotonicityConstraint& mc : program.monos()) {
-    uint64_t h = CombineHash(kSeedMono, static_cast<uint64_t>(mc.kind));
-    h = CombineHash(h, mc.lhs_attr);
-    h = CombineHash(h, mc.rhs_attr);
-    h = CombineHash(h, static_cast<uint64_t>(mc.bound));
-    monos[mc.pred].push_back(h);
-  }
-  std::vector<uint64_t> out(n);
-  for (PredicateId p = 0; p < static_cast<PredicateId>(n); ++p) {
-    const PredicateInfo& info = program.predicate(p);
-    uint64_t h = CombineHash(0x73747269637470ULL /* "strictp" */,
-                             pred_name_hash[p]);
-    h = CombineHash(h, info.arity);
-    h = CombineHash(h, static_cast<uint64_t>(info.kind));
-    h = FoldSorted(h, std::move(rules[p]));
-    h = FoldSorted(h, std::move(facts[p]));
-    h = FoldSorted(h, std::move(fds[p]));
-    h = FoldSorted(h, std::move(monos[p]));
-    out[p] = h;
-  }
-  return out;
-}
-
 uint64_t StructuralProgramHash(const Program& program) {
   std::vector<uint64_t> parts;
   parts.reserve(program.num_predicates() + program.queries().size());

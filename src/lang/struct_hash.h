@@ -67,16 +67,6 @@ std::vector<uint64_t> StructuralPredicateHashes(const Program& program);
 uint64_t StructuralProgramHashFrom(const Program& program,
                                    const std::vector<uint64_t>& own);
 
-/// Strict per-predicate clause-set keys: for each predicate, an
-/// order-invariant fold of the *rendered* rule/fact texts plus the raw
-/// dependency/constraint payloads. Unlike the structural hashes these
-/// are sensitive to variable names, which makes them a cheap change
-/// detector: rendering a clause is cheaper than alpha-numbering its
-/// term DAG, so the fingerprint memo (lang/fingerprint.h) keys own
-/// hashes by this and skips structural hashing for every predicate
-/// whose clauses are textually unchanged across updates.
-std::vector<uint64_t> StrictPredicateKeys(const Program& program);
-
 /// Whole-program hash: sorted fold of every predicate's own hash plus
 /// the sorted query-literal hashes. Alpha- and clause-order-invariant.
 uint64_t StructuralProgramHash(const Program& program);

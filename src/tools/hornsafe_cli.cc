@@ -338,7 +338,8 @@ int CmdCheck(const char* path) {
     QueryAnalysis analysis = analyzer->AnalyzeQueryLiteral(q);
     IntermediateFinitenessResult fin = CheckFiniteIntermediateResults(
         analyzer->canonical(), analyzer->adorned(), analyzer->system(), q);
-    TerminationResult term = CheckTermination(*analyzer, q);
+    TerminationResult term =
+        CheckTermination(*analyzer, q, analysis.overall, fin);
     std::printf("?- %s.\n", analyzer->canonical().ToString(q).c_str());
     std::printf("  safety:               %s\n",
                 SafetyName(analysis.overall));

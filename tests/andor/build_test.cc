@@ -182,5 +182,31 @@ TEST(BuildTest, SystemToStringListsRules) {
   EXPECT_NE(s.find("X@0 <- 0"), std::string::npos);
 }
 
+// The builder records one closed span per component run. Canonicalize
+// makes interleaved components contiguous (two spans); built as
+// written, without it, components whose rule ranges overlap share one
+// run, so the spans still tile the rules and stay closed.
+TEST(BuildTest, SpansTileInterleavedComponents) {
+  const char* text =
+      "a(X) :- b(X).\n"
+      "p(X) :- q(X).\n"
+      "a(X) :- a(X), c(X).\n";
+  TestPipeline pl = MakePipeline(text, NoPruning());
+  ASSERT_EQ(pl.system.spans().size(), 2u);
+  EXPECT_EQ(pl.system.spans()[0].ar_begin, 0u);
+  EXPECT_EQ(pl.system.spans()[1].ar_end, pl.adorned.rules.size());
+
+  auto parsed = ParseProgram(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(ComputeComponentPartition(*parsed).components.size(), 1u);
+  auto adorned = BuildAdornedProgram(*parsed);
+  ASSERT_TRUE(adorned.ok()) << adorned.status().ToString();
+  auto system = BuildAndOrSystem(*parsed, *adorned);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  ASSERT_EQ(system->spans().size(), 1u);
+  EXPECT_EQ(system->spans()[0].node_end, system->nodes().size());
+  EXPECT_EQ(system->spans()[0].rule_end, system->num_rules());
+}
+
 }  // namespace
 }  // namespace hornsafe

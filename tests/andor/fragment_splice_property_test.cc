@@ -1,9 +1,9 @@
 // Randomised sweeps over the warm build path (DESIGN.md, D12 and D15):
 // after any chain of single-cone edits, an analyzer that grafts cached
-// node-table segments and reuses adornment sets and FD indexes in its
-// build must produce a system *isomorphic* to a from-scratch build of
-// the same program — same rendered system, and bit-identical verdicts,
-// explanations and step counts for every query. A second battery runs
+// node-table segments in its build must produce a system *isomorphic*
+// to a from-scratch build of the same program — same rendered system,
+// and bit-identical verdicts, explanations and step counts for every
+// query. A second battery runs
 // concurrent Update() against pinned-snapshot checks under a shared
 // cache (the TSan job runs this binary).
 
@@ -35,15 +35,22 @@ Program MustParse(const std::string& text) {
 /// structurally different variants. Bumping one module's variant is a
 /// single-cone edit: that module's ring re-fingerprints, every other
 /// module stays clean and must be grafted.
+///
+/// `interleaved` renders the modules' predicate components out of
+/// order: every grounding clause comes after all the modules, and each
+/// module gains a constant-argument query, whose canonical wrapper rule
+/// lands after all of them too (as in lint_showcase.hs).
 struct Workload {
   int modules;
   int ring;
   std::vector<int> variant;
+  bool interleaved = false;
 
   Workload(int m, int r) : modules(m), ring(r), variant(m, 0) {}
 
   std::string Render() const {
     std::string t;
+    std::string tail;
     for (int mi = 0; mi < modules; ++mi) {
       std::string s = StrCat("m", mi);
       t += StrCat(".infinite f", s, "/2.\n.fd f", s, ": 2 -> 1.\n");
@@ -54,28 +61,34 @@ struct Workload {
         t += StrCat("d", i, s, "(X) :- f", s, "(X,Y), e", i, s, "(Y).\n");
         t += StrCat("e", i, s, "(X) :- t2", s, "(X,Z).\n");
       }
+      std::string& grounding = interleaved ? tail : t;
       switch (variant[mi] % 4) {
         case 0:
-          t += StrCat("b0", s, "(X) :- c", s, "(X).\n");
+          grounding += StrCat("b0", s, "(X) :- c", s, "(X).\n");
           break;
         case 1:
-          t += StrCat("b0", s, "(X) :- c", s, "(X), extra", s, "(X).\n");
+          grounding += StrCat("b0", s, "(X) :- c", s, "(X), extra", s,
+                              "(X).\n");
           break;
         case 2:
           // FD-determined head: X flows backwards through the fd.
-          t += StrCat("b0", s, "(X) :- f", s, "(X,Y), c", s, "(Y).\n");
+          grounding += StrCat("b0", s, "(X) :- f", s, "(X,Y), c", s,
+                              "(Y).\n");
           break;
         case 3:
           // Ground a different ring member; b0's own grounding is gone.
-          t += StrCat("b1", s, "(X) :- c", s, "(X).\n");
+          grounding += StrCat("b1", s, "(X) :- c", s, "(X).\n");
           break;
       }
       for (int i = 0; i < ring; ++i) {
         t += StrCat("?- b", i, s, "(X).\n");
         t += StrCat("?- d", i, s, "(X).\n");
       }
+      // A module-private constant keeps the wrapper in its module's
+      // component (equal constants share one guard predicate).
+      if (interleaved) t += StrCat("?- d0", s, "(k", mi, ").\n");
     }
-    return t;
+    return t + tail;
   }
 };
 
@@ -99,15 +112,13 @@ void ExpectSameAnalyses(const std::vector<QueryAnalysis>& warm,
   }
 }
 
-class FragmentSplicePropertyTest : public ::testing::TestWithParam<uint64_t> {
-};
-
 // P1. Warm isomorphism: across a random chain of single-cone edits,
 // the warm system renders identically to a from-scratch build, and
 // every query's verdict/explanation/steps are bit-identical.
-TEST_P(FragmentSplicePropertyTest, SplicedSystemIsomorphicToFresh) {
-  Rng rng(GetParam());
+void CheckSplicedSystemIsomorphicToFresh(uint64_t seed, bool interleaved) {
+  Rng rng(seed);
   Workload w(2 + static_cast<int>(rng.Below(2)), 3);
+  w.interleaved = interleaved;
 
   PipelineCache cache;
   AnalyzerOptions opts;
@@ -141,6 +152,19 @@ TEST_P(FragmentSplicePropertyTest, SplicedSystemIsomorphicToFresh) {
         << text;
     ExpectSameAnalyses(warm->AnalyzeQueries(), cold->AnalyzeQueries(),
                        text);
+  }
+}
+
+class FragmentSplicePropertyTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+// The interleaved programs must pass P1 too: canonicalization makes
+// their components contiguous, so they graft like any other.
+TEST_P(FragmentSplicePropertyTest, SplicedSystemIsomorphicToFresh) {
+  for (bool interleaved : {false, true}) {
+    SCOPED_TRACE(interleaved ? "interleaved" : "contiguous");
+    CheckSplicedSystemIsomorphicToFresh(GetParam(), interleaved);
+    if (HasFatalFailure()) return;
   }
 }
 

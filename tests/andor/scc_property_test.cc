@@ -16,7 +16,6 @@
 #include "andor/emptiness.h"
 #include "andor/reduce.h"
 #include "andor/scc.h"
-#include "andor/segment.h"
 #include "canonical/canonical.h"
 #include "parser/parser.h"
 #include "util/rng.h"
@@ -353,8 +352,8 @@ TEST(SccPropertyTest, SliceRejectsRangeThatIsNotClosed) {
   EXPECT_TRUE(SccAnalysis::ComputeSlice(system, a, b + 1, 0, 2));
 }
 
-/// Parses, canonicalizes, adorns and builds `text` with a segment plan
-/// (one span per predicate component); optionally prunes.
+/// Parses, canonicalizes, adorns and builds `text` (the builder records
+/// one span per predicate component); optionally prunes.
 struct Built {
   Program program;
   AdornedProgram adorned;
@@ -370,16 +369,7 @@ bool BuildProgram(const std::string& text, bool prune, Built* out) {
   auto adorned = BuildAdornedProgram(out->program);
   if (!adorned.ok()) return false;
   out->adorned = std::move(adorned).value();
-  ComponentPartition partition = ComputeComponentPartition(out->program);
-  SegmentPlan plan;
-  for (const PredicateComponent& comp : partition.components) {
-    plan.components.push_back(
-        {comp.first_rule, comp.num_rules, nullptr,
-         ComponentPredSlots(out->program, comp)});
-  }
-  BuildOptions opts;
-  if (partition.contiguous) opts.segments = &plan;
-  auto system = BuildAndOrSystem(out->program, out->adorned, opts);
+  auto system = BuildAndOrSystem(out->program, out->adorned);
   if (!system.ok()) return false;
   out->system = std::move(system).value();
   if (prune) {
@@ -396,7 +386,6 @@ void CheckProgram(const std::string& label, const std::string& text) {
     ASSERT_TRUE(BuildProgram(text, prune, &b));
     ExpectMatchesReference(b.system, SccAnalysis::Compute(b.system), label);
     if (::testing::Test::HasFatalFailure()) return;
-    if (b.system.spans().empty()) continue;
     std::vector<Block> blocks;
     for (const SegmentSpan& s : b.system.spans()) {
       blocks.push_back({s.node_begin, s.node_end, s.rule_begin, s.rule_end});

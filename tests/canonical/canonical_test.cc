@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "parser/parser.h"
 
 namespace hornsafe {
@@ -28,6 +31,54 @@ TEST(CanonicalTest, AlreadyCanonicalProgramUnchangedInShape) {
   EXPECT_TRUE(c->constant_preds.empty());
   EXPECT_TRUE(c->function_preds.empty());
   EXPECT_TRUE(IsCanonical(c->program));
+}
+
+TEST(CanonicalTest, InterleavedComponentsComeOutComponentMajor) {
+  // Two predicate components, {a,b,c} and {p,q}, with their clauses
+  // interleaved; the constant query adds a wrapper rule at the end.
+  Program p = Parse(R"(
+    a(X) :- b(X).
+    p(X) :- q(X).
+    a(X) :- a(X), c(X).
+    p(X) :- p(X).
+    ?- a(1).
+  )");
+  auto c = Canonicalize(p);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  const Program& canon = c->program;
+  ASSERT_EQ(canon.rules().size(), 5u);
+  std::vector<std::string> heads;
+  for (const Rule& r : canon.rules()) {
+    heads.push_back(canon.PredicateName(r.head.pred));
+  }
+  // The a-component first (its rules in input order, then the query
+  // wrapper over a), then the p-component in input order.
+  EXPECT_EQ(heads[0], "a");
+  EXPECT_EQ(heads[1], "a");
+  EXPECT_EQ(canon.ToString(canon.rules()[0]), p.ToString(p.rules()[0]));
+  EXPECT_EQ(canon.ToString(canon.rules()[1]), p.ToString(p.rules()[2]));
+  EXPECT_EQ(canon.PredicateName(canon.rules()[2].body[0].pred), "a");
+  EXPECT_EQ(canon.ToString(canon.rules()[3]), p.ToString(p.rules()[1]));
+  EXPECT_EQ(canon.ToString(canon.rules()[4]), p.ToString(p.rules()[3]));
+}
+
+TEST(CanonicalTest, ContiguousComponentsKeepTheirInputOrder) {
+  // The later component comes first in the text, and that stays so.
+  Program p = Parse(R"(
+    p(X) :- q(X).
+    p(X) :- p(X).
+    a(X) :- b(X).
+    a(X) :- a(X), c(X).
+    ?- a(X).
+  )");
+  auto c = Canonicalize(p);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_EQ(c->program.rules().size(), p.rules().size());
+  for (size_t i = 0; i < p.rules().size(); ++i) {
+    EXPECT_EQ(c->program.ToString(c->program.rules()[i]),
+              p.ToString(p.rules()[i]))
+        << "rule " << i;
+  }
 }
 
 TEST(CanonicalTest, Example6ConstantsBecomeGuardPredicates) {

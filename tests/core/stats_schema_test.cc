@@ -46,8 +46,7 @@ TEST(StatsSchemaTest, CacheStatNamesArePinned) {
                 "compactions_run", "compactions_skipped",
                 "compaction_entries_removed", "compaction_bytes_removed",
                 "cones_invalidated", "segment_hits", "segment_misses",
-                "segment_insertions", "segment_evictions", "fd_index_hits",
-                "fd_index_misses", "pred_hash_hits", "pred_hash_misses"}));
+                "segment_insertions", "segment_evictions"}));
 }
 
 TEST(StatsSchemaTest, ServerCounterNamesArePinned) {
@@ -104,20 +103,20 @@ TEST(StatsSchemaTest, ConcurrentBumpsAreExact) {
 TEST(StatsSchemaTest, JsonRoundTripsAndTextHasOneLinePerField) {
   PipelineCacheStats s;
   s.verdict_hits = 3;
-  s.pred_hash_misses = 11;
+  s.segment_evictions = 11;
   Json j = StatsToJson(s);
   ASSERT_EQ(j.members().size(), PipelineCacheStats::Fields().size());
   EXPECT_EQ(j["verdict_hits"].AsInt(), 3);
   PipelineCacheStats back = StatsFromJson<PipelineCacheStats>(j);
   EXPECT_EQ(back.verdict_hits, 3u);
-  EXPECT_EQ(back.pred_hash_misses, 11u);
+  EXPECT_EQ(back.segment_evictions, 11u);
   EXPECT_EQ(back.disk_hits, 0u);
 
   std::string text = StatsToText(s);
   EXPECT_EQ(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')),
             PipelineCacheStats::Fields().size());
   EXPECT_EQ(text.rfind("  verdict_hits: 3\n", 0), 0u) << text;
-  EXPECT_NE(text.find("\n  pred_hash_misses: 11\n"), std::string::npos);
+  EXPECT_NE(text.find("\n  segment_evictions: 11\n"), std::string::npos);
 }
 
 }  // namespace

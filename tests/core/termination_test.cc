@@ -17,7 +17,11 @@ TerminationResult Check(const char* text) {
   auto a = SafetyAnalyzer::Create(*parsed);
   EXPECT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a->canonical().queries().size(), 1u);
-  return CheckTermination(*a, a->canonical().queries()[0]);
+  const Literal& q = a->canonical().queries()[0];
+  return CheckTermination(
+      *a, q, a->AnalyzeQueryLiteral(q).overall,
+      CheckFiniteIntermediateResults(a->canonical(), a->adorned(),
+                                     a->system(), q));
 }
 
 TEST(TerminationTest, UnsafeQueryNeverTerminates) {

@@ -139,30 +139,18 @@ TEST(FdTest, FdSetHashIsOrderInvariant) {
   EXPECT_NE(FdSetHash({}), FdSetHash({Fd({0}, {1})}));
 }
 
-TEST(FdTest, ClosureCacheSharesOneFrozenIndex) {
-  FdClosureCache cache;
+TEST(FdTest, ClosureIndexMatchesTheFreeFunctions) {
   std::vector<FiniteDependency> fds = {Fd({3}, {1}), Fd({1}, {0})};
-  std::shared_ptr<const FdClosureIndex> first = cache.For(fds, 4, true);
-  ASSERT_NE(first, nullptr);
-  EXPECT_TRUE(first->frozen());
-  // The same dependency set — even reordered — returns the *same*
-  // frozen object, not an equal copy.
-  std::vector<FiniteDependency> reordered = {Fd({1}, {0}), Fd({3}, {1})};
-  EXPECT_EQ(cache.For(reordered, 4, true).get(), first.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Arity and closure mode are part of the key.
-  EXPECT_NE(cache.For(fds, 5, true).get(), first.get());
-  EXPECT_NE(cache.For(fds, 4, false).get(), first.get());
-  EXPECT_EQ(cache.size(), 3u);
-
-  // The frozen const lookups answer exactly what the free functions do.
-  const std::vector<AttrSet>& min =
-      static_cast<const FdClosureIndex&>(*first).Minimal(4, 0);
-  EXPECT_EQ(min, MinimalDeterminants(fds, 4, 0));
-  EXPECT_EQ(static_cast<const FdClosureIndex&>(*first).Declared(1),
-            DeclaredDeterminants(fds, 1));
+  FdClosureIndex index(fds);
+  for (uint32_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(index.Minimal(4, k), MinimalDeterminants(fds, 4, k)) << k;
+    EXPECT_EQ(index.Declared(k), DeclaredDeterminants(fds, k)) << k;
+  }
+  // Memoized answers stay the same on a second ask.
+  EXPECT_EQ(index.Minimal(4, 0), MinimalDeterminants(fds, 4, 0));
+  for (size_t i = 0; i < fds.size(); ++i) {
+    EXPECT_EQ(index.Redundant(i), IsRedundant(fds, i)) << i;
+  }
 }
 
 }  // namespace

@@ -334,9 +334,7 @@ TEST(CliTest, StatsTextListsEverySchemaField) {
 
 // One program, two surfaces: `check --stats-json` and an inline-program
 // serve `check` followed by `stats` report the same key sets and the
-// same search counters, serially and across the search pool. Every
-// query of the program is safe, so the re-analysis `check` runs for its
-// termination verdict is served from the cache and adds no search work.
+// same search counters, serially and across the search pool.
 TEST(CliTest, CheckAndServeReportTheSameCounters) {
   const std::string program =
       ".infinite t/2.\n"
@@ -388,6 +386,18 @@ TEST(CliTest, CheckNoCacheMatchesCachedVerdicts) {
       RunCli(StrCat("check --no-cache ", ProgramPath("example13.hs")));
   EXPECT_EQ(cached.exit_code, uncached.exit_code);
   EXPECT_EQ(cached.output, uncached.output);
+}
+
+// `check` searches each query once: its termination verdict reuses the
+// safety verdict and finiteness result the report has just printed.
+// Without a cache nothing else could absorb a second search.
+TEST(CliTest, CheckAnalyzesEachQueryOnce) {
+  CliResult r = RunCli(StrCat("check --no-cache --stats-json ",
+                              ProgramPath("unsafe_projection.hs")));
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  const Json root = LastJsonLine(r.output);
+  EXPECT_EQ(root["analyzer"]["positions_analyzed"].AsInt(-1), 1) << r.output;
+  EXPECT_EQ(root["analyzer"]["subset_searches"].AsInt(-1), 1) << r.output;
 }
 
 TEST(CliTest, CacheDirFlagRequiresValue) {

@@ -101,7 +101,8 @@ TEST_P(FuzzPipelineTest, FullPipelineNeverCrashes) {
       IntermediateFinitenessResult fin = CheckFiniteIntermediateResults(
           analyzer->canonical(), analyzer->adorned(), analyzer->system(),
           q);
-      TerminationResult term = CheckTermination(*analyzer, q);
+      TerminationResult term = CheckTermination(
+          *analyzer, q, analyzer->AnalyzeQueryLiteral(q).overall, fin);
       // Termination implies finite intermediates implies... at least
       // consistency between the two:
       if (term.exists) {

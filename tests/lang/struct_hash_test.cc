@@ -254,57 +254,5 @@ TEST(StructHashTest, BatchedPredicateHashesMatchPerPredicate) {
   EXPECT_EQ(StructuralProgramHashFrom(p, own), StructuralProgramHash(p));
 }
 
-TEST(StructHashTest, StrictPredicateKeysDetectTextualChange) {
-  Program a = Parse(kMixedText);
-  Program b = Parse(kMixedText);
-  EXPECT_EQ(StrictPredicateKeys(a), StrictPredicateKeys(b));
-
-  // A variable *rename* is invisible to structural hashes but must move
-  // the strict key — it is the memo's change detector and may only err
-  // toward misses.
-  Program renamed = Parse(R"(
-    .infinite f/2.
-    .fd f: 2 -> 1.
-    r(V) :- f(V,W), r(W), a(W).
-    r(X) :- b(X).
-    ?- r(Q).
-  )");
-  Program plain = Parse(R"(
-    .infinite f/2.
-    .fd f: 2 -> 1.
-    r(X) :- f(X,Y), r(Y), a(Y).
-    r(X) :- b(X).
-    ?- r(Q).
-  )");
-  PredicateId pr = Find(plain, "r", 1);
-  PredicateId rr = Find(renamed, "r", 1);
-  EXPECT_EQ(StructuralPredicateHash(plain, pr),
-            StructuralPredicateHash(renamed, rr));
-  EXPECT_NE(StrictPredicateKeys(plain)[pr], StrictPredicateKeys(renamed)[rr]);
-}
-
-TEST(StructHashTest, MemoizedFingerprintsAreBitIdentical) {
-  Program p = Parse(kMixedText);
-  ProgramFingerprints plain = ComputeFingerprints(p);
-
-  PredicateHashMemo memo;
-  ProgramFingerprints cold = ComputeFingerprints(p, &memo);
-  EXPECT_EQ(cold.own, plain.own);
-  EXPECT_EQ(cold.cone, plain.cone);
-  EXPECT_EQ(cold.program, plain.program);
-  EXPECT_GT(memo.stats().misses, 0u);
-
-  // Second program, same text: every predicate is served from the memo
-  // and the fingerprints are still bit-identical.
-  Program q = Parse(kMixedText);
-  uint64_t misses_before = memo.stats().misses;
-  ProgramFingerprints warm = ComputeFingerprints(q, &memo);
-  EXPECT_EQ(warm.own, plain.own);
-  EXPECT_EQ(warm.cone, plain.cone);
-  EXPECT_EQ(warm.program, plain.program);
-  EXPECT_EQ(memo.stats().misses, misses_before);
-  EXPECT_GT(memo.stats().hits, 0u);
-}
-
 }  // namespace
 }  // namespace hornsafe
