@@ -88,6 +88,7 @@ class SystemBuilder {
       system_.NoteSpan(std::move(span));
       ai = aj;
     }
+    system_.Freeze();
     return std::move(system_);
   }
 
@@ -115,11 +116,36 @@ class SystemBuilder {
     return arg_slots_[occ_slot_begin_[occ_idx] + k];
   }
 
-  NodeId BodyArg(const AdornedRule& ar, size_t occ_idx, uint32_t k) {
+  /// A fresh node for argument `k` of body occurrence `occ_idx`
+  /// (`mask` for kBodyArgAdorned, `fd_index` for kFdChoice). Occurrence
+  /// ids are unique across the adorned program, so the node belongs to
+  /// this rule alone and needs no interning.
+  NodeId NewOccurrenceNode(PropNodeKind kind, const AdornedRule& ar,
+                           size_t occ_idx, uint32_t k, uint64_t mask = 0,
+                           uint32_t fd_index = 0) {
     const BodyOccurrence& occ = ar.body[occ_idx];
-    return system_.InternBodyArg(occ.occurrence_id, k, occ.lit.pred,
-                                 ar.adorned_index,
-                                 occ.kind == PredicateKind::kInfiniteBase);
+    PropNode n;
+    n.kind = kind;
+    n.pred = occ.lit.pred;
+    n.adornment_mask = mask;
+    n.position = k;
+    n.fd_index = fd_index;
+    n.occurrence = occ.occurrence_id;
+    n.adorned_rule = ar.adorned_index;
+    n.is_f_node = kind == PropNodeKind::kFdChoice ||
+                  (kind == PropNodeKind::kBodyArg &&
+                   occ.kind == PredicateKind::kInfiniteBase);
+    return system_.AddNode(n);
+  }
+
+  /// The kBodyArg node of argument `k` of body occurrence `occ_idx`,
+  /// created on first use: step 2 and steps 3/4 both reach it.
+  NodeId BodyArg(const AdornedRule& ar, size_t occ_idx, uint32_t k) {
+    NodeId& node = body_arg_nodes_[occ_slot_begin_[occ_idx] + k];
+    if (node == kInvalidNode) {
+      node = NewOccurrenceNode(PropNodeKind::kBodyArg, ar, occ_idx, k);
+    }
+    return node;
   }
 
   void Emit(NodeId head, NodeId body, uint32_t source) {
@@ -145,6 +171,7 @@ class SystemBuilder {
       for (TermId a : occ.lit.args) note(a);
     }
     var_nodes_.assign(rule_vars_.size(), kInvalidNode);
+    body_arg_nodes_.assign(arg_slots_.size(), kInvalidNode);
   }
 
   /// Appends `slot` to `slots` unless already present.
@@ -175,6 +202,13 @@ class SystemBuilder {
       NodeId head =
           system_.InternHeadArg(ar.head_pred, ar.adornment.bound_mask, k);
       if (ar.adornment.IsBound(k)) {
+        // The one rule Algorithm 2 can emit twice: every rule with this
+        // head adornment binds k. The first copy is kept.
+        if (head >= head_zeroed_.size()) {
+          head_zeroed_.resize(system_.nodes().size(), false);
+        }
+        if (head_zeroed_[head]) continue;
+        head_zeroed_[head] = true;
         Emit(head, system_.zero(), ar.adorned_index);
       } else {
         Emit(head, Var(ar, arg_slots_[k]), ar.adorned_index);
@@ -236,9 +270,8 @@ class SystemBuilder {
       conjunct_.clear();
       for (const Adornment& a1 : adornments) {
         if (a1.IsBound(k)) continue;
-        NodeId adorned_node = system_.InternBodyArgAdorned(
-            occ.occurrence_id, a1.bound_mask, k, occ.lit.pred,
-            ar.adorned_index);
+        NodeId adorned_node = NewOccurrenceNode(
+            PropNodeKind::kBodyArgAdorned, ar, occ_idx, k, a1.bound_mask);
         conjunct_.push_back(adorned_node);
         // The strategy is inapplicable if a bound variable is unsafe.
         bound_slots_.clear();
@@ -293,8 +326,8 @@ class SystemBuilder {
       }
       conjunct_.clear();
       for (uint32_t i = 0; i < determinants.size(); ++i) {
-        NodeId choice = system_.InternFdChoice(occ.occurrence_id, k, i,
-                                               occ.lit.pred, ar.adorned_index);
+        NodeId choice =
+            NewOccurrenceNode(PropNodeKind::kFdChoice, ar, occ_idx, k, 0, i);
         conjunct_.push_back(choice);
         if (determinants[i].Empty()) {
           // An empty antecedent is always applicable: the argument is
@@ -328,6 +361,11 @@ class SystemBuilder {
   std::vector<NodeId> var_nodes_;
   std::vector<uint32_t> arg_slots_;
   std::vector<uint32_t> occ_slot_begin_;
+  /// The rule's kBodyArg nodes, indexed like arg_slots_ (kInvalidNode
+  /// until first use; the head entries stay unused).
+  std::vector<NodeId> body_arg_nodes_;
+  /// Per node id: head-argument nodes that already have `← 0`.
+  std::vector<bool> head_zeroed_;
   /// Reused scratch: the conjunct being assembled and the distinct
   /// variable slots bound by one adornment or determinant.
   std::vector<NodeId> conjunct_;

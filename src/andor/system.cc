@@ -13,24 +13,7 @@ namespace {
 enum KeyTag : uint64_t {
   kTagHeadArg = 1,
   kTagVariable,
-  kTagBodyArg,
-  kTagBodyArgAdorned,
-  kTagFdChoice,
 };
-
-/// Content hash of a rule (head, then the body sequence), the tag of
-/// its RuleIdTable slot.
-uint32_t HashRule(NodeId head, std::span<const NodeId> body) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL ^ body.size();
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 29;
-  };
-  mix(head);
-  for (NodeId b : body) mix(b);
-  return static_cast<uint32_t>(h ^ (h >> 32));
-}
 
 std::string AdornmentString(uint64_t mask, uint32_t arity) {
   std::string s;
@@ -45,59 +28,60 @@ AndOrSystem::AndOrSystem() {
                            kInvalidTerm, 0, 0, false});
   one_ = AddNode(PropNode{PropNodeKind::kOne, kInvalidPredicate, 0, 0, 0,
                           kInvalidTerm, 0, 0, false});
+  Freeze();
 }
 
 NodeId AndOrSystem::AddNode(PropNode node) {
   NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(node);
-  rules_by_head_.emplace_back();
+  frozen_ = false;
   return id;
 }
 
 void AndOrSystem::AddRule(NodeId head, std::span<const NodeId> body,
                           uint32_t source_adorned_rule) {
-  const uint32_t candidate = static_cast<uint32_t>(rules_.size());
-  auto same = [&](uint32_t id) {
-    const RuleRecord& r = rules_[id];
-    return r.head == head && r.body_size == body.size() &&
-           std::equal(body.begin(), body.end(),
-                      body_arena_.begin() + r.body_begin);
-  };
-  if (rule_index_.FindOrInsert(HashRule(head, body), candidate, same) !=
-      RuleIdTable::kAbsent) {
-    return;
-  }
   rules_.push_back(RuleRecord{head,
                               static_cast<uint32_t>(body_arena_.size()),
                               static_cast<uint32_t>(body.size()),
                               source_adorned_rule});
   body_arena_.insert(body_arena_.end(), body.begin(), body.end());
   deleted_.push_back(false);
-  rules_by_head_[head].push_back(candidate);
+  ++num_live_;
+  frozen_ = false;
+}
+
+void AndOrSystem::Freeze() {
+  // Counting sort of the live rules by head; a scan in rule-id order
+  // keeps every slice in rule-id order. live_count_ doubles as the fill
+  // cursor and ends as the per-head count again.
+  const size_t n = nodes_.size();
+  head_offset_.assign(n + 1, 0);
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    if (!deleted_[i]) ++head_offset_[rules_[i].head + 1];
+  }
+  for (size_t v = 0; v < n; ++v) head_offset_[v + 1] += head_offset_[v];
+  live_count_.assign(n, 0);
+  head_rules_.resize(head_offset_[n]);
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    if (deleted_[i]) continue;
+    const NodeId h = rules_[i].head;
+    head_rules_[head_offset_[h] + live_count_[h]++] =
+        static_cast<uint32_t>(i);
+  }
+  frozen_ = true;
 }
 
 void AndOrSystem::DeleteRule(size_t i) {
   if (deleted_[i]) return;
   deleted_[i] = true;
-  std::vector<uint32_t>& list = rules_by_head_[rules_[i].head];
-  for (size_t j = 0; j < list.size(); ++j) {
-    if (list[j] == i) {
-      list.erase(list.begin() + static_cast<ptrdiff_t>(j));
-      break;
-    }
-  }
-}
-
-const std::vector<uint32_t>& AndOrSystem::RulesFor(NodeId n) const {
-  return rules_by_head_[n];
-}
-
-size_t AndOrSystem::NumLiveRules() const {
-  size_t n = 0;
-  for (bool d : deleted_) {
-    if (!d) ++n;
-  }
-  return n;
+  --num_live_;
+  if (!frozen_) return;
+  const NodeId head = rules_[i].head;
+  uint32_t* begin = head_rules_.data() + head_offset_[head];
+  uint32_t* end = begin + live_count_[head];
+  uint32_t* it = std::lower_bound(begin, end, static_cast<uint32_t>(i));
+  std::copy(it + 1, end, it);
+  --live_count_[head];
 }
 
 NodeId AndOrSystem::InternKeyed(const std::array<uint64_t, 4>& key,
@@ -126,54 +110,6 @@ NodeId AndOrSystem::InternVariable(uint32_t adorned_rule, TermId var) {
   n.adorned_rule = adorned_rule;
   n.var = var;
   return InternKeyed({kTagVariable, adorned_rule, var, 0}, n);
-}
-
-NodeId AndOrSystem::InternBodyArg(uint32_t occurrence, uint32_t position,
-                                  PredicateId pred, uint32_t adorned_rule,
-                                  bool is_f_node) {
-  PropNode n;
-  n.kind = PropNodeKind::kBodyArg;
-  n.pred = pred;
-  n.position = position;
-  n.occurrence = occurrence;
-  n.adorned_rule = adorned_rule;
-  n.is_f_node = is_f_node;
-  return InternKeyed({kTagBodyArg, (uint64_t{occurrence} << 32) | position,
-                      0, 0},
-                     n);
-}
-
-NodeId AndOrSystem::InternBodyArgAdorned(uint32_t occurrence,
-                                         uint64_t adornment_mask,
-                                         uint32_t position, PredicateId pred,
-                                         uint32_t adorned_rule) {
-  PropNode n;
-  n.kind = PropNodeKind::kBodyArgAdorned;
-  n.pred = pred;
-  n.adornment_mask = adornment_mask;
-  n.position = position;
-  n.occurrence = occurrence;
-  n.adorned_rule = adorned_rule;
-  return InternKeyed({kTagBodyArgAdorned,
-                      (uint64_t{occurrence} << 32) | position,
-                      adornment_mask, 0},
-                     n);
-}
-
-NodeId AndOrSystem::InternFdChoice(uint32_t occurrence, uint32_t position,
-                                   uint32_t fd_index, PredicateId pred,
-                                   uint32_t adorned_rule) {
-  PropNode n;
-  n.kind = PropNodeKind::kFdChoice;
-  n.pred = pred;
-  n.position = position;
-  n.occurrence = occurrence;
-  n.fd_index = fd_index;
-  n.adorned_rule = adorned_rule;
-  n.is_f_node = true;
-  return InternKeyed({kTagFdChoice, (uint64_t{occurrence} << 32) | position,
-                      fd_index, 0},
-                     n);
 }
 
 bool AndOrSystem::GraftSegment(const NodeTableSegment& seg,
@@ -248,7 +184,6 @@ bool AndOrSystem::GraftSegment(const NodeTableSegment& seg,
     }
   };
   grow(nodes_, seg.nodes.size());
-  grow(rules_by_head_, seg.nodes.size());
   grow(rules_, seg.rules.size());
   grow(deleted_, seg.rules.size());
   node_index_.Reserve(node_index_.size() + indexed_nodes);
@@ -306,14 +241,13 @@ bool AndOrSystem::GraftSegment(const NodeTableSegment& seg,
     for (uint32_t ref : sr.body) body_arena_.push_back(decode(ref));
     // Deleted rules keep their slot but never enter RulesFor — the
     // exact state DeleteRule leaves behind.
-    const NodeId head = decode(sr.head);
-    const uint32_t idx = static_cast<uint32_t>(rules_.size());
-    rules_.push_back(RuleRecord{head, body_begin,
+    rules_.push_back(RuleRecord{decode(sr.head), body_begin,
                                 static_cast<uint32_t>(sr.body.size()),
                                 ctx.ar_begin + sr.ar_delta});
     deleted_.push_back(sr.deleted);
-    if (!sr.deleted) rules_by_head_[head].push_back(idx);
+    if (!sr.deleted) ++num_live_;
   }
+  frozen_ = false;
   return true;
 }
 

@@ -45,7 +45,7 @@ struct SegmentSpan {
   uint32_t occ_count = 0;
   /// True when the span was appended wholesale from a cached segment
   /// (its prune verdicts and SccSlice replay too); false when it was
-  /// built by interning and must be pruned/analyzed/sealed fresh.
+  /// built by Algorithm 2 and must be pruned/analyzed/sealed fresh.
   bool grafted = false;
   std::shared_ptr<const NodeTableSegment> segment;
 };
@@ -199,62 +199,13 @@ class NodeKeyMap {
   size_t size_ = 0;
 };
 
-/// Open-addressing set of rule ids keyed by rule content, the
-/// deduplication index of `AndOrSystem::AddRule`. A slot holds only a
-/// 32-bit hash tag and a rule id; key equality is decided by the
-/// caller against the stored rule, so the table never copies a body.
-/// Linear probing over a power-of-two slot array indexed by the tag,
-/// grown at ~2/3 load; growth re-slots by tag alone, without touching
-/// the rules.
-class RuleIdTable {
- public:
-  static constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
-
-  /// The resident id whose rule `same(id)` accepts among the entries
-  /// tagged `hash`; if there is none, records `id` under `hash` and
-  /// returns kAbsent.
-  template <typename Same>
-  uint32_t FindOrInsert(uint32_t hash, uint32_t id, const Same& same) {
-    if ((size_ + 1) * 3 >= slots_.size() * 2) Grow();
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      Slot& s = slots_[i];
-      if (s.id == kAbsent) {
-        s = Slot{hash, id};
-        ++size_;
-        return kAbsent;
-      }
-      if (s.hash == hash && same(s.id)) return s.id;
-    }
-  }
-
- private:
-  struct Slot {
-    uint32_t hash = 0;
-    uint32_t id = kAbsent;
-  };
-  static constexpr size_t kMinSlots = 64;
-
-  void Grow() {
-    std::vector<Slot> fresh(slots_.empty() ? kMinSlots : slots_.size() * 2);
-    const size_t mask = fresh.size() - 1;
-    for (const Slot& s : slots_) {
-      if (s.id == kAbsent) continue;
-      size_t i = s.hash & mask;
-      while (fresh[i].id != kAbsent) i = (i + 1) & mask;
-      fresh[i] = s;
-    }
-    slots_ = std::move(fresh);
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-};
-
 /// The propositional system And-Or_H produced by Algorithm 2, together
-/// with node/rule indexes. Rules may be deleted (marked) by Algorithm 3
-/// and Algorithm 4; deleted rules keep their slot but drop out of
-/// `RulesFor`.
+/// with node/rule indexes. The system is append-only while it is built
+/// and then frozen (`Freeze`), which lays `RulesFor` out as one CSR
+/// array. Rules may then be deleted (marked) by Algorithm 3 and
+/// Algorithm 4; deleted rules keep their slot but drop out of
+/// `RulesFor`. From SCC onwards the system is read-only, so published
+/// snapshots are read concurrently without locks.
 class AndOrSystem {
  public:
   AndOrSystem();
@@ -275,19 +226,21 @@ class AndOrSystem {
   }
   bool rule_deleted(size_t i) const { return deleted_[i]; }
 
-  /// Live rules with head `n`.
-  const std::vector<uint32_t>& RulesFor(NodeId n) const;
+  /// Live rules with head `n`, in rule-id order. Precondition: Freeze()
+  /// has run since the last AddNode, AddRule or GraftSegment.
+  std::span<const uint32_t> RulesFor(NodeId n) const {
+    return {head_rules_.data() + head_offset_[n], live_count_[n]};
+  }
 
   /// Total number of live rules.
-  size_t NumLiveRules() const;
+  size_t NumLiveRules() const { return num_live_; }
 
   // --- Construction -----------------------------------------------------
 
   NodeId AddNode(PropNode node);
-  /// Adds `head ← body`; an exact duplicate of an earlier added rule
-  /// (same head, same body sequence) is dropped and the first copy
-  /// kept. `body` is copied into the arena and must not point into this
-  /// system's own rule storage.
+  /// Appends `head ← body`. Nothing is deduplicated: a caller that adds
+  /// the same rule twice gets it twice. `body` is copied into the arena
+  /// and must not point into this system's own rule storage.
   void AddRule(NodeId head, std::span<const NodeId> body,
                uint32_t source_adorned_rule);
   void AddRule(NodeId head, std::initializer_list<NodeId> body,
@@ -296,7 +249,16 @@ class AndOrSystem {
             source_adorned_rule);
   }
 
-  /// Marks rule `i` deleted (Algorithm 3 / Algorithm 4).
+  /// Lays `RulesFor` out as CSR over the live rules, in rule-id order.
+  /// BuildAndOrSystem calls it once, after the last graft; systems
+  /// assembled by hand call it before reading `RulesFor`. It is never
+  /// run lazily from a const accessor: workers read published
+  /// snapshots concurrently.
+  void Freeze();
+
+  /// Marks rule `i` deleted (Algorithm 3 / Algorithm 4). On a frozen
+  /// system the rule is also erased, in order, from its head's CSR
+  /// slice, so `RulesFor` stays valid.
   void DeleteRule(size_t i);
 
   // --- Segment grafting (andor/segment.h) -------------------------------
@@ -308,12 +270,9 @@ class AndOrSystem {
   /// degrades to a fresh build instead of corrupting the table.
   ///
   /// Grafted nodes re-register their head-argument and variable intern
-  /// keys (FindHeadArg / FindVariable serve concurrent readers), but
-  /// grafted rules stay out of the rule index: components never share
-  /// non-terminal nodes, so cross-span duplicates are impossible, and
-  /// the segment records the post-dedupe rule list of its own span.
+  /// keys (FindHeadArg / FindVariable serve concurrent readers).
   /// Deleted rules keep their slot (bit-identical rule numbering) and
-  /// stay out of `RulesFor`, exactly as after DeleteRule.
+  /// stay out of `RulesFor` once frozen, exactly as after DeleteRule.
   bool GraftSegment(const NodeTableSegment& seg,
                     const SegmentGraftContext& ctx);
 
@@ -328,18 +287,15 @@ class AndOrSystem {
 
   // --- Node interning helpers -------------------------------------------
 
+  /// Only the keys that are looked up again are interned: head
+  /// arguments (shared by every rule with that head adornment and by
+  /// every call site) and variables (FindVariable). Occurrence-scoped
+  /// nodes — kBodyArg, kBodyArgAdorned, kFdChoice — belong to one
+  /// adorned rule, since occurrence ids are unique, and are created
+  /// with AddNode.
   NodeId InternHeadArg(PredicateId pred, uint64_t adornment_mask,
                        uint32_t position);
   NodeId InternVariable(uint32_t adorned_rule, TermId var);
-  NodeId InternBodyArg(uint32_t occurrence, uint32_t position,
-                       PredicateId pred, uint32_t adorned_rule,
-                       bool is_f_node);
-  NodeId InternBodyArgAdorned(uint32_t occurrence, uint64_t adornment_mask,
-                              uint32_t position, PredicateId pred,
-                              uint32_t adorned_rule);
-  NodeId InternFdChoice(uint32_t occurrence, uint32_t position,
-                        uint32_t fd_index, PredicateId pred,
-                        uint32_t adorned_rule);
 
   /// Looks up an existing head-argument node (kInvalidNode if absent).
   NodeId FindHeadArg(PredicateId pred, uint64_t adornment_mask,
@@ -371,11 +327,16 @@ class AndOrSystem {
   /// Every rule body, back to back in rule order.
   std::vector<NodeId> body_arena_;
   std::vector<bool> deleted_;
-  std::vector<std::vector<uint32_t>> rules_by_head_;
+  size_t num_live_ = 0;
+  /// RulesFor as CSR (set by Freeze): node n's live rules are
+  /// head_rules_[head_offset_[n], +live_count_[n]). DeleteRule
+  /// shortens a slice in place; the tail of a shortened slice is dead.
+  std::vector<uint32_t> head_offset_;
+  std::vector<uint32_t> live_count_;
+  std::vector<uint32_t> head_rules_;
+  /// True from Freeze until the next AddNode / AddRule / GraftSegment.
+  bool frozen_ = false;
   NodeKeyMap node_index_;
-  /// Every rule added through AddRule, keyed by (head, body) content,
-  /// for deduplication. Grafted rules are not entered.
-  RuleIdTable rule_index_;
   /// Component spans in node order, one per planned component (empty
   /// for systems assembled by hand, outside BuildAndOrSystem).
   std::vector<SegmentSpan> spans_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "andor/build.h"
@@ -13,6 +14,8 @@
 #include "andor/subset.h"
 #include "canonical/canonical.h"
 #include "parser/parser.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace hornsafe {
 
@@ -48,29 +51,102 @@ struct PipelineOptions {
   bool use_fd_closure = false;
 };
 
+/// Parses, canonicalizes, adorns and builds `text`, then applies the
+/// requested passes; false when a stage rejects the program.
+inline bool TryMakePipeline(std::string_view text,
+                            const PipelineOptions& popts, TestPipeline* out) {
+  auto parsed = ParseProgram(text);
+  if (!parsed.ok()) return false;
+  auto canon = Canonicalize(*parsed);
+  if (!canon.ok()) return false;
+  out->program = std::move(canon->program);
+  auto adorned = BuildAdornedProgram(out->program);
+  if (!adorned.ok()) return false;
+  out->adorned = std::move(adorned).value();
+  BuildOptions bopts;
+  bopts.use_fd_closure = popts.use_fd_closure;
+  auto system = BuildAndOrSystem(out->program, out->adorned, bopts);
+  if (!system.ok()) return false;
+  out->system = std::move(system).value();
+  if (popts.apply_emptiness) {
+    ApplyEmptinessPruning(EmptyPredicates(out->program), &out->system);
+  }
+  if (popts.apply_reduce) {
+    ReduceSystem(&out->system);
+  }
+  return true;
+}
+
 inline TestPipeline MakePipeline(std::string_view text,
                                  const PipelineOptions& popts = {}) {
   TestPipeline out;
-  auto parsed = ParseProgram(text);
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  auto canon = Canonicalize(*parsed);
-  EXPECT_TRUE(canon.ok()) << canon.status().ToString();
-  out.program = std::move(canon->program);
-  auto adorned = BuildAdornedProgram(out.program);
-  EXPECT_TRUE(adorned.ok()) << adorned.status().ToString();
-  out.adorned = std::move(adorned).value();
-  BuildOptions bopts;
-  bopts.use_fd_closure = popts.use_fd_closure;
-  auto system = BuildAndOrSystem(out.program, out.adorned, bopts);
-  EXPECT_TRUE(system.ok()) << system.status().ToString();
-  out.system = std::move(system).value();
-  if (popts.apply_emptiness) {
-    ApplyEmptinessPruning(EmptyPredicates(out.program), &out.system);
-  }
-  if (popts.apply_reduce) {
-    ReduceSystem(&out.system);
-  }
+  EXPECT_TRUE(TryMakePipeline(text, popts, &out)) << text;
   return out;
+}
+
+/// `r(X0..Xn-1) :- b0(X0), ..., bn-1(Xn-1).` plus a recursive rule: the
+/// 2^arity adornment blow-up of Algorithm 2 (bench/bench_util.h's
+/// WideHead).
+inline std::string WideHeadText(int arity) {
+  std::string head_vars, body;
+  for (int i = 0; i < arity; ++i) {
+    head_vars += StrCat(i > 0 ? "," : "", "X", i);
+    body += StrCat(i > 0 ? ", " : "", "b", i, "(X", i, ")");
+  }
+  return StrCat("r(", head_vars, ") :- ", body, ".\n", "r(", head_vars,
+                ") :- r(", head_vars, "), c(X0).\n");
+}
+
+/// A safe chain of `depth` derived predicates, each reading the next
+/// through an FD-guarded infinite relation (bench's GuardedChain).
+inline std::string GuardedChainText(int depth) {
+  std::string text = ".infinite f/2.\n.fd f: 2 -> 1.\n";
+  for (int i = 0; i < depth; ++i) {
+    text += StrCat("r", i, "(X) :- f(X,Y), r", i + 1, "(Y), g", i,
+                   "(Y).\n");
+  }
+  return StrCat(text, "r", depth, "(X) :- base(X).\n?- r0(X).\n");
+}
+
+/// A ring of `m` predicates, each with its own two-way diamond
+/// (bench's SharedDiamond).
+inline std::string SharedDiamondText(int m) {
+  std::string text =
+      ".infinite f/2.\n.fd f: 2 -> 1.\n"
+      ".infinite g/2.\n.fd g: 2 -> 1.\n"
+      ".infinite t2/2.\n";
+  for (int i = 0; i < m; ++i) {
+    text += StrCat("b", i, "(X) :- d", i, "(X), b", (i + 1) % m, "(X).\n");
+    text += StrCat("d", i, "(X) :- f(X,Y), e", i, "(Y).\n");
+    text += StrCat("d", i, "(X) :- g(X,Y), e", i, "(Y).\n");
+    text += StrCat("e", i, "(X) :- t2(X,Z).\n");
+  }
+  return StrCat(text, "b0(X) :- c(X).\n?- b0(X).\n");
+}
+
+/// A random program over unary derived predicates r0..r{k-1}, a binary
+/// infinite relation f (with a random FD set), finite base predicates.
+/// Each rule is either base (r_i(X) :- b(X)) or a step through f to a
+/// random callee, optionally guarded.
+inline std::string RandomProgramText(Rng* rng, bool force_guards,
+                                     bool extra_fds) {
+  int k = 2 + static_cast<int>(rng->Below(3));
+  std::string text = ".infinite f/2.\n";
+  if (rng->Chance(2, 3)) text += ".fd f: 2 -> 1.\n";
+  if (rng->Chance(1, 3)) text += ".fd f: 1 -> 2.\n";
+  if (extra_fds) text += ".fd f: 2 -> 1.\n.fd f: 1 -> 2.\n";
+  for (int i = 0; i < k; ++i) {
+    int callee = static_cast<int>(rng->Below(k));
+    // Draw the coin unconditionally so that two generators with the same
+    // seed produce structurally identical programs modulo the guards.
+    bool coin = rng->Chance(1, 2);
+    bool guard = force_guards || coin;
+    text += StrCat("r", i, "(X) :- f(X,Y), r", callee, "(Y)",
+                   guard ? ", a(Y)" : "", ".\n");
+    if (rng->Chance(2, 3)) text += StrCat("r", i, "(X) :- b(X).\n");
+  }
+  text += "?- r0(X).\n";
+  return text;
 }
 
 }  // namespace hornsafe

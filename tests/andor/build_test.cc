@@ -5,6 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "tests/andor/andor_test_util.h"
 
 namespace hornsafe {
@@ -206,6 +215,148 @@ TEST(BuildTest, SpansTileInterleavedComponents) {
   ASSERT_EQ(system->spans().size(), 1u);
   EXPECT_EQ(system->spans()[0].node_end, system->nodes().size());
   EXPECT_EQ(system->spans()[0].rule_end, system->num_rules());
+}
+
+// --- Builder output pins ----------------------------------------------
+
+/// One program the builder output is pinned on.
+struct BuildInput {
+  std::string label;
+  std::string text;
+};
+
+/// WideHead(2..6), GuardedChain(8), SharedDiamond(6) and every
+/// examples/programs/*.hs in name order.
+std::vector<BuildInput> PinnedInputs() {
+  std::vector<BuildInput> out;
+  for (int arity = 2; arity <= 6; ++arity) {
+    out.push_back({StrCat("WideHead(", arity, ")"), WideHeadText(arity)});
+  }
+  out.push_back({"GuardedChain(8)", GuardedChainText(8)});
+  out.push_back({"SharedDiamond(6)", SharedDiamondText(6)});
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HORNSAFE_PROGRAMS_DIR)) {
+    if (entry.path().extension() == ".hs") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& path : files) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    out.push_back({path.filename().string(), text.str()});
+  }
+  return out;
+}
+
+/// FNV-1a over the rule listing and then every node name in id order.
+uint64_t SystemDigest(const TestPipeline& pl) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const std::string& s) {
+    for (unsigned char c : s) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+    h ^= 0xff;
+    h *= 0x100000001b3ULL;
+  };
+  mix(pl.system.ToString(pl.program));
+  for (NodeId n = 0; n < pl.system.nodes().size(); ++n) {
+    mix(pl.system.NodeName(n, pl.program));
+  }
+  return h;
+}
+
+// Node count, rule count and a digest of every rule and node name of
+// the unpruned builder output, recorded from the interning builder
+// that deduplicated every rule. Node and rule numbering, names and rule
+// order are part of the analysis's observable output (explanations,
+// `hornsafe andor`, cached segments), so any change here must be
+// deliberate.
+TEST(BuildTest, SystemDigestsArePinned) {
+  struct Pin {
+    const char* label;
+    size_t nodes;
+    size_t rules;
+    uint64_t digest;
+  };
+  const Pin kPins[] = {
+      {"WideHead(2)", 50, 60, 0x129596eec7e4fbd2ULL},
+      {"WideHead(3)", 194, 300, 0x99ad210e7ecd7467ULL},
+      {"WideHead(4)", 770, 1568, 0x2fcb1dcc5e24153eULL},
+      {"WideHead(5)", 3202, 8400, 0x8f289da1deb5c48eULL},
+      {"WideHead(6)", 13826, 44736, 0xf899196b8bd6fc60ULL},
+      {"GuardedChain(8)", 134, 132, 0xa57b23728c086e59ULL},
+      {"SharedDiamond(6)", 316, 321, 0x184ee24bfb5270acULL},
+      {"ancestor.hs", 280, 410, 0xd38238e2abe3d3b6ULL},
+      {"concat.hs", 474, 650, 0x1f6bcf62f6f65afdULL},
+      {"example13.hs", 82, 92, 0x12eab56292ac9a64ULL},
+      {"fleet_routes_a.hs", 378, 560, 0x1fff1a8217a8d543ULL},
+      {"fleet_routes_b.hs", 372, 552, 0x425fb022cb5123bbULL},
+      {"lint_errors.hs", 36, 38, 0xe254fea758cdc086ULL},
+      {"lint_showcase.hs", 94, 112, 0x6a2d56617fdc1db3ULL},
+      {"unsafe_projection.hs", 8, 6, 0x705615cc8b5b400fULL},
+      {"weighted_paths.hs", 236, 354, 0xf48d6286a2d58ea1ULL},
+  };
+  std::vector<BuildInput> inputs = PinnedInputs();
+  size_t pinned = 0;
+  for (const BuildInput& in : inputs) {
+    TestPipeline pl;
+    if (!TryMakePipeline(in.text, NoPruning(), &pl)) continue;
+    const Pin* pin = nullptr;
+    for (const Pin& p : kPins) {
+      if (in.label == p.label) pin = &p;
+    }
+    ASSERT_NE(pin, nullptr) << "no pin for " << in.label;
+    EXPECT_EQ(pl.system.nodes().size(), pin->nodes) << in.label;
+    EXPECT_EQ(pl.system.num_rules(), pin->rules) << in.label;
+    EXPECT_EQ(SystemDigest(pl), pin->digest) << in.label;
+    ++pinned;
+  }
+  EXPECT_EQ(pinned, std::size(kPins));
+}
+
+/// The index of the first rule that repeats an earlier rule exactly
+/// (same head, same body sequence), or num_rules() when none does.
+size_t FirstDuplicateRule(const AndOrSystem& s) {
+  std::set<std::vector<NodeId>> seen;
+  for (size_t i = 0; i < s.num_rules(); ++i) {
+    const PropRule r = s.rule(i);
+    std::vector<NodeId> key{r.head};
+    key.insert(key.end(), r.body.begin(), r.body.end());
+    if (!seen.insert(std::move(key)).second) return i;
+  }
+  return s.num_rules();
+}
+
+// AndOrSystem::AddRule appends without looking for duplicates; the
+// builder is what guarantees that no rule is emitted twice.
+TEST(BuildTest, BuilderEmitsNoDuplicateRules) {
+  std::vector<BuildInput> inputs = PinnedInputs();
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    for (int round = 0; round < 8; ++round) {
+      inputs.push_back({StrCat("random seed ", seed, " round ", round),
+                        RandomProgramText(&rng, false, false)});
+    }
+  }
+  for (const BuildInput& in : inputs) {
+    for (bool closure : {false, true}) {
+      PipelineOptions opts = NoPruning();
+      opts.use_fd_closure = closure;
+      TestPipeline pl;
+      if (!TryMakePipeline(in.text, opts, &pl)) continue;
+      const size_t dup = FirstDuplicateRule(pl.system);
+      EXPECT_EQ(dup, pl.system.num_rules())
+          << in.label << (closure ? " (closure)" : "") << ": rule " << dup
+          << " repeats an earlier rule:\n"
+          << (dup < pl.system.num_rules()
+                  ? pl.system.NodeName(pl.system.rule(dup).head, pl.program)
+                  : std::string())
+          << "\n"
+          << in.text;
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "andor/subset.h"
@@ -65,6 +66,7 @@ AndOrSystem RandomSystem(Rng* rng, uint32_t n) {
       system.AddRule(first + i, body, 0);
     }
   }
+  system.Freeze();
   return system;
 }
 
@@ -137,7 +139,7 @@ bool ForwardEdgeInComponent(const AndOrSystem& system,
 std::vector<uint32_t> RandomChoice(Rng* rng, const AndOrSystem& system) {
   std::vector<uint32_t> rule_of(system.nodes().size(), kNoRule);
   for (NodeId v = 0; v < system.nodes().size(); ++v) {
-    const std::vector<uint32_t>& rules = system.RulesFor(v);
+    const std::span<const uint32_t> rules = system.RulesFor(v);
     if (rules.empty() || !rng->Chance(2, 3)) continue;
     rule_of[v] = rules[rng->Below(rules.size())];
   }

@@ -16,16 +16,6 @@
 namespace hornsafe {
 namespace {
 
-std::string GuardedChainText(int depth) {
-  std::string text = ".infinite f/2.\n.fd f: 2 -> 1.\n";
-  for (int i = 0; i < depth; ++i) {
-    text += StrCat("r", i, "(X) :- f(X,Y), r", i + 1, "(Y), g", i,
-                   "(Y).\n");
-  }
-  text += StrCat("r", depth, "(X) :- base(X).\n?- r0(X).\n");
-  return text;
-}
-
 std::string UnsafeCycleText(int depth) {
   std::string text = ".infinite f/2.\n.fd f: 2 -> 1.\n";
   for (int i = 0; i < depth; ++i) {

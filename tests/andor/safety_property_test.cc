@@ -20,31 +20,6 @@
 namespace hornsafe {
 namespace {
 
-/// A random program over unary derived predicates r0..r{k-1}, a binary
-/// infinite relation f (with a random FD set), finite base predicates.
-/// Each rule is either base (r_i(X) :- b(X)) or a step through f to a
-/// random callee, optionally guarded.
-std::string RandomProgramText(Rng* rng, bool force_guards,
-                              bool extra_fds) {
-  int k = 2 + static_cast<int>(rng->Below(3));
-  std::string text = ".infinite f/2.\n";
-  if (rng->Chance(2, 3)) text += ".fd f: 2 -> 1.\n";
-  if (rng->Chance(1, 3)) text += ".fd f: 1 -> 2.\n";
-  if (extra_fds) text += ".fd f: 2 -> 1.\n.fd f: 1 -> 2.\n";
-  for (int i = 0; i < k; ++i) {
-    int callee = static_cast<int>(rng->Below(k));
-    // Draw the coin unconditionally so that two generators with the same
-    // seed produce structurally identical programs modulo the guards.
-    bool coin = rng->Chance(1, 2);
-    bool guard = force_guards || coin;
-    text += StrCat("r", i, "(X) :- f(X,Y), r", callee, "(Y)",
-                   guard ? ", a(Y)" : "", ".\n");
-    if (rng->Chance(2, 3)) text += StrCat("r", i, "(X) :- b(X).\n");
-  }
-  text += "?- r0(X).\n";
-  return text;
-}
-
 class SafetyPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SafetyPropertyTest, LfpOneImpliesSubsetUnsafe) {

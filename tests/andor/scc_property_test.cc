@@ -18,6 +18,7 @@
 #include "andor/scc.h"
 #include "canonical/canonical.h"
 #include "parser/parser.h"
+#include "tests/andor/andor_test_util.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -308,6 +309,7 @@ AndOrSystem RandomBlockSystem(Rng* rng, int num_blocks,
     b.rule_end = static_cast<uint32_t>(system.num_rules());
     blocks->push_back(b);
   }
+  system.Freeze();
   for (uint32_t ri = 0; ri < system.num_rules(); ++ri) {
     if (rng->Chance(1, 10)) system.DeleteRule(ri);
   }
@@ -348,42 +350,19 @@ TEST(SccPropertyTest, SliceRejectsRangeThatIsNotClosed) {
   NodeId b = system.AddNode(var);
   system.AddRule(a, {b}, 0);
   system.AddRule(b, {system.one()}, 0);
+  system.Freeze();
   EXPECT_FALSE(SccAnalysis::ComputeSlice(system, a, a + 1, 0, 1));
   EXPECT_TRUE(SccAnalysis::ComputeSlice(system, a, b + 1, 0, 2));
-}
-
-/// Parses, canonicalizes, adorns and builds `text` (the builder records
-/// one span per predicate component); optionally prunes.
-struct Built {
-  Program program;
-  AdornedProgram adorned;
-  AndOrSystem system;
-};
-
-bool BuildProgram(const std::string& text, bool prune, Built* out) {
-  auto parsed = ParseProgram(text);
-  if (!parsed.ok()) return false;
-  auto canon = Canonicalize(*parsed);
-  if (!canon.ok()) return false;
-  out->program = std::move(canon->program);
-  auto adorned = BuildAdornedProgram(out->program);
-  if (!adorned.ok()) return false;
-  out->adorned = std::move(adorned).value();
-  auto system = BuildAndOrSystem(out->program, out->adorned);
-  if (!system.ok()) return false;
-  out->system = std::move(system).value();
-  if (prune) {
-    ApplyEmptinessPruning(EmptyPredicates(out->program), &out->system);
-    ReduceSystem(&out->system);
-  }
-  return true;
 }
 
 void CheckProgram(const std::string& label, const std::string& text) {
   for (bool prune : {false, true}) {
     SCOPED_TRACE(StrCat(label, prune ? " (pruned)" : " (unpruned)"));
-    Built b;
-    ASSERT_TRUE(BuildProgram(text, prune, &b));
+    PipelineOptions opts;
+    opts.apply_emptiness = prune;
+    opts.apply_reduce = prune;
+    TestPipeline b;
+    ASSERT_TRUE(TryMakePipeline(text, opts, &b));
     ExpectMatchesReference(b.system, SccAnalysis::Compute(b.system), label);
     if (::testing::Test::HasFatalFailure()) return;
     std::vector<Block> blocks;
@@ -394,19 +373,9 @@ void CheckProgram(const std::string& label, const std::string& text) {
   }
 }
 
-std::string WideHead(int arity) {
-  std::string head_vars, body;
-  for (int i = 0; i < arity; ++i) {
-    head_vars += StrCat(i > 0 ? "," : "", "X", i);
-    body += StrCat(i > 0 ? ", " : "", "b", i, "(X", i, ")");
-  }
-  return StrCat("r(", head_vars, ") :- ", body, ".\n", "r(", head_vars,
-                ") :- r(", head_vars, "), c(X0).\n");
-}
-
 TEST(SccPropertyTest, WideHeadMatchesReference) {
   for (int arity = 3; arity <= 5; ++arity) {
-    CheckProgram(StrCat("WideHead(", arity, ")"), WideHead(arity));
+    CheckProgram(StrCat("WideHead(", arity, ")"), WideHeadText(arity));
     if (HasFatalFailure()) return;
   }
 }

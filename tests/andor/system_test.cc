@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,14 +33,6 @@ TEST(AndOrSystemTest, InterningIsIdempotent) {
   NodeId v = s.InternVariable(7, 42);
   EXPECT_EQ(v, s.InternVariable(7, 42));
   EXPECT_NE(v, s.InternVariable(8, 42));
-
-  NodeId occ = s.InternBodyArg(5, 0, 3, 7, true);
-  EXPECT_EQ(occ, s.InternBodyArg(5, 0, 3, 7, true));
-  EXPECT_TRUE(s.node(occ).is_f_node);
-
-  NodeId fd = s.InternFdChoice(5, 0, 2, 3, 7);
-  EXPECT_EQ(fd, s.InternFdChoice(5, 0, 2, 3, 7));
-  EXPECT_NE(fd, s.InternFdChoice(5, 0, 3, 3, 7));
 }
 
 TEST(AndOrSystemTest, FindersReturnInvalidWhenAbsent) {
@@ -51,22 +43,12 @@ TEST(AndOrSystemTest, FindersReturnInvalidWhenAbsent) {
   EXPECT_EQ(s.FindHeadArg(1, 0, 0), a);
 }
 
-TEST(AndOrSystemTest, AddRuleDeduplicates) {
-  AndOrSystem s;
-  NodeId h = s.InternHeadArg(1, 0, 0);
-  NodeId v = s.InternVariable(0, 9);
-  s.AddRule(h, {v}, 0);
-  s.AddRule(h, {v}, 0);  // exact duplicate collapsed
-  EXPECT_EQ(s.RulesFor(h).size(), 1u);
-  s.AddRule(h, {v, v}, 0);  // different body: kept
-  EXPECT_EQ(s.RulesFor(h).size(), 2u);
-}
-
 TEST(AndOrSystemTest, DeleteRuleRemovesFromIndex) {
   AndOrSystem s;
   NodeId h = s.InternHeadArg(1, 0, 0);
   s.AddRule(h, {s.zero()}, 0);
   s.AddRule(h, {s.one()}, 0);
+  s.Freeze();
   ASSERT_EQ(s.RulesFor(h).size(), 2u);
   size_t total = s.NumLiveRules();
   uint32_t first = s.RulesFor(h)[0];
@@ -88,15 +70,24 @@ TEST(AndOrSystemTest, NodeNamesAreDistinctiveAndStable) {
   EXPECT_EQ(s.NodeName(s.one(), p), "1");
   EXPECT_EQ(s.NodeName(s.InternHeadArg(r, 0b01, 1), p), "r^bf.2");
   EXPECT_EQ(s.NodeName(s.InternVariable(3, x), p), "X@3");
-  EXPECT_EQ(s.NodeName(s.InternBodyArg(5, 0, r, 3, false), p), "r#5.1");
-  EXPECT_EQ(s.NodeName(s.InternBodyArgAdorned(5, 0b10, 0, r, 3), p),
-            "r#5^fb.1");
-  EXPECT_EQ(s.NodeName(s.InternFdChoice(5, 1, 0, r, 3), p), "r#5.2~fd0");
+  PropNode occ;
+  occ.pred = r;
+  occ.occurrence = 5;
+  occ.adorned_rule = 3;
+  occ.kind = PropNodeKind::kBodyArg;
+  EXPECT_EQ(s.NodeName(s.AddNode(occ), p), "r#5.1");
+  occ.kind = PropNodeKind::kBodyArgAdorned;
+  occ.adornment_mask = 0b10;
+  EXPECT_EQ(s.NodeName(s.AddNode(occ), p), "r#5^fb.1");
+  occ.kind = PropNodeKind::kFdChoice;
+  occ.adornment_mask = 0;
+  occ.position = 1;
+  EXPECT_EQ(s.NodeName(s.AddNode(occ), p), "r#5.2~fd0");
 }
 
-/// The AddRule contract, modelled with an ordered set: every rule added
-/// through AddRule is a key; a key seen before (deleted or not) is
-/// dropped; grafted rules are appended but never become keys.
+/// The AndOrSystem rule contract, modelled as a plain list: AddRule and
+/// GraftSegment append (duplicates included), DeleteRule marks, and
+/// RulesFor is every live rule of a head in rule-id order.
 struct RuleModel {
   struct Rule {
     NodeId head;
@@ -104,14 +95,7 @@ struct RuleModel {
     uint32_t source;
     bool deleted;
   };
-  std::set<std::vector<NodeId>> keys;
   std::vector<Rule> rules;
-
-  void Add(NodeId head, const std::vector<NodeId>& body, uint32_t source) {
-    std::vector<NodeId> key{head};
-    key.insert(key.end(), body.begin(), body.end());
-    if (keys.insert(key).second) rules.push_back({head, body, source, false});
-  }
 
   std::vector<uint32_t> RulesFor(NodeId n) const {
     std::vector<uint32_t> out;
@@ -119,6 +103,12 @@ struct RuleModel {
       if (rules[i].head == n && !rules[i].deleted) out.push_back(i);
     }
     return out;
+  }
+
+  size_t NumLive() const {
+    size_t n = 0;
+    for (const Rule& r : rules) n += r.deleted ? 0 : 1;
+    return n;
   }
 
   std::string ToString(const AndOrSystem& s, const Program& p) const {
@@ -134,8 +124,10 @@ struct RuleModel {
   }
 };
 
+/// Compares the rule store with the model; the index (RulesFor) only
+/// when `frozen`.
 void ExpectMatchesModel(const AndOrSystem& s, const RuleModel& model,
-                        const Program& p) {
+                        const Program& p, bool frozen) {
   ASSERT_EQ(s.num_rules(), model.rules.size());
   for (uint32_t i = 0; i < model.rules.size(); ++i) {
     const PropRule r = s.rule(i);
@@ -146,13 +138,18 @@ void ExpectMatchesModel(const AndOrSystem& s, const RuleModel& model,
     ASSERT_EQ(r.source_adorned_rule, m.source) << "rule " << i;
     ASSERT_EQ(s.rule_deleted(i), m.deleted) << "rule " << i;
   }
-  for (NodeId n = 0; n < s.nodes().size(); ++n) {
-    ASSERT_EQ(s.RulesFor(n), model.RulesFor(n)) << "node " << n;
-  }
+  ASSERT_EQ(s.NumLiveRules(), model.NumLive());
   ASSERT_EQ(s.ToString(p), model.ToString(s, p));
+  if (!frozen) return;
+  for (NodeId n = 0; n < s.nodes().size(); ++n) {
+    const std::span<const uint32_t> live = s.RulesFor(n);
+    ASSERT_EQ(std::vector<uint32_t>(live.begin(), live.end()),
+              model.RulesFor(n))
+        << "node " << n;
+  }
 }
 
-TEST(AndOrSystemTest, RuleIndexMatchesOrderedSetModel) {
+TEST(AndOrSystemTest, RuleIndexMatchesAppendOnlyModel) {
   Program p;
   const PredicateId r = p.InternPredicate("r", 3);
   const PredicateId q = p.InternPredicate("q", 2);
@@ -171,12 +168,18 @@ TEST(AndOrSystemTest, RuleIndexMatchesOrderedSetModel) {
     }
     for (uint32_t ar = 0; ar < 12; ++ar) {
       for (TermId v : vars) pool.push_back(s.InternVariable(ar, v));
-      pool.push_back(s.InternBodyArg(ar, 0, r, ar, (ar & 1) != 0));
+      PropNode occ;
+      occ.kind = PropNodeKind::kBodyArg;
+      occ.pred = r;
+      occ.occurrence = ar;
+      occ.adorned_rule = ar;
+      occ.is_f_node = (ar & 1) != 0;
+      pool.push_back(s.AddNode(occ));
     }
 
     // A few "hot" heads receive many rules each; bodies range from
     // empty through terminal-only to long; some adds repeat an earlier
-    // rule exactly.
+    // rule exactly, and the repeat is kept.
     auto random_rule = [&](NodeId* head, std::vector<NodeId>* body) {
       *head = rng.Chance(1, 3) ? pool[rng.Below(4)]
                                : pool[rng.Below(pool.size())];
@@ -204,6 +207,14 @@ TEST(AndOrSystemTest, RuleIndexMatchesOrderedSetModel) {
         }
       }
     };
+    auto delete_some = [&](int count) {
+      for (int i = 0; i < count && !model.rules.empty(); ++i) {
+        const uint32_t victim =
+            static_cast<uint32_t>(rng.Below(model.rules.size()));
+        s.DeleteRule(victim);  // a repeat delete is a no-op
+        model.rules[victim].deleted = true;
+      }
+    };
     auto add_stream = [&](int count) {
       NodeId head;
       std::vector<NodeId> body;
@@ -218,23 +229,25 @@ TEST(AndOrSystemTest, RuleIndexMatchesOrderedSetModel) {
         }
         const uint32_t source = static_cast<uint32_t>(rng.Below(12));
         s.AddRule(head, body, source);
-        model.Add(head, body, source);
-        if (rng.Chance(1, 50)) {
-          const uint32_t victim =
-              static_cast<uint32_t>(rng.Below(model.rules.size()));
-          s.DeleteRule(victim);
-          model.rules[victim].deleted = true;
-        }
+        model.rules.push_back({head, body, source, false});
+        if (rng.Chance(1, 50)) delete_some(1);
       }
     };
-    // Enough rules to grow the index several times over.
+    // Deletes before Freeze only mark; Freeze leaves them out of the
+    // index. Deletes after Freeze erase from the head's slice, which
+    // hot heads make long.
     add_stream(2000 + static_cast<int>(rng.Below(2000)));
-    ExpectMatchesModel(s, model, p);
+    ExpectMatchesModel(s, model, p, false);
+    if (HasFatalFailure()) return;
+    s.Freeze();
+    ExpectMatchesModel(s, model, p, true);
+    if (HasFatalFailure()) return;
+    delete_some(200);
+    ExpectMatchesModel(s, model, p, true);
     if (HasFatalFailure()) return;
 
     // Graft a segment of fresh nodes whose rules include exact
-    // duplicates of each other, then keep adding: grafted rules never
-    // enter the index, so re-adding one of them is kept.
+    // duplicates of each other and deleted bits, then refreeze.
     AdornedProgram adorned;
     adorned.rules.resize(1);
     const std::vector<PredicateId> pred_of_slot{q};
@@ -273,23 +286,22 @@ TEST(AndOrSystemTest, RuleIndexMatchesOrderedSetModel) {
     auto decode = [&](uint32_t ref) -> NodeId {
       return ref < 2 ? ref : base + ref - 2;
     };
-    std::vector<RuleModel::Rule> grafted;
     for (const SegmentRule& sr : seg.rules) {
       RuleModel::Rule m{decode(sr.head), {}, 0, sr.deleted};
       for (uint32_t ref : sr.body) m.body.push_back(decode(ref));
       model.rules.push_back(m);
-      grafted.push_back(m);
     }
-    ExpectMatchesModel(s, model, p);
+    ExpectMatchesModel(s, model, p, false);
+    if (HasFatalFailure()) return;
+    s.Freeze();
+    ExpectMatchesModel(s, model, p, true);
     if (HasFatalFailure()) return;
 
     for (NodeId n = base; n < s.nodes().size(); ++n) pool.push_back(n);
-    for (const RuleModel::Rule& g : grafted) {
-      s.AddRule(g.head, g.body, 0);
-      model.Add(g.head, g.body, 0);
-    }
     add_stream(1000);
-    ExpectMatchesModel(s, model, p);
+    s.Freeze();
+    delete_some(100);
+    ExpectMatchesModel(s, model, p, true);
     if (HasFatalFailure()) return;
   }
 }
